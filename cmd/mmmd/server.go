@@ -327,7 +327,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 // bounded pool runs them. Both paths share the service cache, so a
 // campaign started locally finishes remotely (and vice versa) without
 // re-simulating. Specs with a precision block run adaptively on
-// either path — campaign.RunSpec routes them.
+// either path.
 func (s *server) execute(ctx context.Context, r *run, spec campaign.Spec, fleet []string) {
 	defer s.wg.Done()
 	defer r.cancel()
@@ -378,7 +378,7 @@ func (s *server) execute(ctx context.Context, r *run, spec campaign.Spec, fleet 
 			},
 		})
 	}
-	rs, err := campaign.RunSpec(ctx, runner, r.scale, spec)
+	rs, err := runner.RunSpec(ctx, r.scale, spec)
 	r.jnl.Finish(err)
 	if err != nil {
 		r.finish(nil, nil, err)
@@ -456,7 +456,14 @@ func (r *run) finish(rs *campaign.ResultSet, rows []stats.Row, err error) {
 	default:
 		r.status = "done"
 		r.rows = rows
-		r.hits = rs.Hits
+		// Count cells, like done and jobs: an adaptive ResultSet's Hits
+		// counts waves.
+		r.hits = 0
+		for _, res := range rs.Results {
+			if res.CacheHit {
+				r.hits++
+			}
+		}
 		r.done = len(rs.Results)
 		r.wall = rs.Wall
 	}

@@ -234,6 +234,28 @@ func TestAdaptiveSubmitRunsToCompletion(t *testing.T) {
 	}
 }
 
+// TestAdaptiveWarmResubmitCountsCells: cache_hits counts cells, like
+// done and jobs. A warm resubmit of an adaptive campaign whose cells
+// each ran at least two waves serves every cell from the cache, so
+// cache_hits equals jobs — not the number of waves served.
+func TestAdaptiveWarmResubmitCountsCells(t *testing.T) {
+	ts := testService(t)
+	body := `{"name":"relia","scale":"quick",` +
+		`"warmup":20000,"measure":60000,"timeslice":15000,` +
+		`"workloads":["apache"],"seeds":[11],` +
+		`"precision":{"half_width":0.2,"wave_trials":2,"min_trials":4,"max_trials":6}}`
+	if st := submitV1AndWait(t, ts, body); st.Status != "done" || st.CacheHit != 0 {
+		t.Fatalf("cold adaptive run: %+v", st)
+	}
+	st := submitV1AndWait(t, ts, body)
+	if st.Status != "done" || st.Done != st.Jobs {
+		t.Fatalf("warm adaptive run: %+v", st)
+	}
+	if st.CacheHit != st.Jobs {
+		t.Fatalf("warm adaptive resubmit: cache_hits %d, want jobs %d", st.CacheHit, st.Jobs)
+	}
+}
+
 // submitV1AndWait mirrors submitAndWait over the versioned paths.
 func submitV1AndWait(t *testing.T, ts *httptest.Server, body string) runStatus {
 	t.Helper()

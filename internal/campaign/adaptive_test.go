@@ -38,7 +38,7 @@ func adaptiveSpec() Spec {
 // the canonical row bytes.
 func runSpecRows(t *testing.T, r Runner, spec Spec) ([]byte, *ResultSet) {
 	t.Helper()
-	rs, err := RunSpec(context.Background(), r, microScale(), spec)
+	rs, err := r.RunSpec(context.Background(), microScale(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestAdaptiveWorkerKilledMidWave(t *testing.T) {
 	}
 	res := make(chan outcome, 1)
 	go func() {
-		rs, err := RunSpec(context.Background(), d, microScale(), spec)
+		rs, err := d.RunSpec(context.Background(), microScale(), spec)
 		if err != nil {
 			res <- outcome{nil, nil, err}
 			return
@@ -407,7 +407,7 @@ func TestAdaptiveJournalAndAttribution(t *testing.T) {
 }
 
 // TestAdaptiveCancel: cancelling an adaptive run mid-flight returns
-// promptly with the context error instead of wedging in the wave queue.
+// promptly with the context error instead of wedging on the board.
 func TestAdaptiveCancel(t *testing.T) {
 	spec := adaptiveSpec()
 	ctx, cancel := context.WithCancel(context.Background())

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/core"
 )
 
 // DispatchOptions configures a Dispatcher.
@@ -58,12 +57,12 @@ type DispatchOptions struct {
 	Journal *Journal
 }
 
-// Dispatcher is the remote Runner: it shards a campaign's uncached
-// jobs across a fleet of mmmd workers through a pull-based job board
-// and merges the completions — in expansion order, through the same
-// content-addressed cache — so a sharded campaign is byte-identical
-// to a local one. It is stateless across Run calls (each run gets its
-// own board and listener) and safe for concurrent Runs.
+// Dispatcher is the remote Runner: the scheduler with a fleet of mmmd
+// workers as its transport. It serves each campaign's job board over
+// HTTP and merges the completions — in expansion order, through the
+// same content-addressed cache — so a sharded campaign is
+// byte-identical to a local one. It is stateless across runs (each run
+// gets its own board and listener) and safe for concurrent runs.
 type Dispatcher struct {
 	opts DispatchOptions
 }
@@ -91,76 +90,48 @@ func NewDispatcher(opts DispatchOptions) *Dispatcher {
 	return &Dispatcher{opts: opts}
 }
 
-// Run implements Runner. Cache hits are resolved locally; the rest go
-// on the board, the fleet is invited to pull, and the call blocks
-// until every job completed, one failed terminally, or ctx was
-// cancelled — in which case every outstanding lease is revoked before
-// returning, so no worker's late result can be double-counted by a
-// successor run (re-running simply resumes from the cache).
+// Run executes an expanded job set across the fleet. Cache hits are
+// resolved locally; the rest go on the board, the fleet is invited to
+// pull, and the call blocks until every job completed, one failed
+// terminally, or ctx was cancelled — in which case every outstanding
+// lease is revoked before returning, so no worker's late result can be
+// double-counted by a successor run (re-running simply resumes from
+// the cache).
 func (d *Dispatcher) Run(ctx context.Context, sc Scale, jobs []Job) (*ResultSet, error) {
+	return d.run(ctx, fixedPlanner(sc, jobs))
+}
+
+// RunSpec executes a whole campaign spec across the fleet: adaptively
+// when it carries a precision block — the board re-leases capacity
+// freed by retired cells to the widest remaining intervals — and as
+// its expanded job set otherwise.
+func (d *Dispatcher) RunSpec(ctx context.Context, sc Scale, spec Spec) (*ResultSet, error) {
+	p, err := planSpec(sc, spec)
+	if err != nil {
+		return nil, err
+	}
+	return d.run(ctx, p)
+}
+
+// run schedules a planned campaign on the remote transport.
+func (d *Dispatcher) run(ctx context.Context, p *planner) (*ResultSet, error) {
 	if len(d.opts.Workers) == 0 {
 		return nil, fmt.Errorf("campaign: dispatcher has no workers")
 	}
-	start := time.Now()
-	rs := &ResultSet{Scale: sc, Results: make([]Result, len(jobs))}
-	d.opts.Journal.Begin(sc, jobs)
-
-	// Serve cache hits locally, exactly like the engine would.
-	var todo []int
-	done, hits := 0, 0
-	progress := func() {
-		if d.opts.OnProgress != nil {
-			d.opts.OnProgress(done, len(jobs), hits)
-		}
-	}
-	for i, j := range jobs {
-		if d.opts.Cache != nil {
-			if m, ok := d.opts.Cache.Get(j.Fingerprint(sc)); ok {
-				rs.Results[i] = Result{Job: j, Metrics: m, CacheHit: true}
-				d.opts.Journal.CellDone(i, j, m, true, "", 0, 0)
-				done++
-				hits++
-				progress()
-				continue
-			}
-		}
-		todo = append(todo, i)
-	}
-
-	b := newBoard(sc, jobs, todo, d.opts.LeaseTTL, d.opts.MaxInflight, d.opts.MaxAttempts,
-		func(idx int, m core.Metrics) error {
-			rs.Results[idx] = Result{Job: jobs[idx], Metrics: m}
-			if d.opts.Cache != nil {
-				if err := d.opts.Cache.Put(jobs[idx].Fingerprint(sc), m); err != nil {
-					return err
-				}
-			}
-			done++
-			progress()
-			return nil
-		})
-	b.fobs = d.opts.Obs
-	b.jnl = d.opts.Journal
-
-	if len(todo) > 0 {
-		if err := d.serve(ctx, b); err != nil {
-			return nil, err
-		}
-	}
-
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	rs.Hits, rs.Misses = hits, done-hits
-	rs.Wall = time.Since(start)
-	return rs, nil
+	return schedule(ctx, p, d, d.opts.Cache, d.opts.Journal, d.opts.OnProgress)
 }
 
-// serve runs one board to completion: listen, invite the fleet to
-// pull, reap expired leases (watching for total fleet loss) until the
-// board closes, and return its terminal error. Shared by the fixed and
-// adaptive dispatch paths — the board's queue discipline differs, the
-// lease protocol around it does not.
+// board builds a fleet board: leases expire after LeaseTTL without a
+// heartbeat, and a job may fail MaxAttempts times before the run does.
+func (d *Dispatcher) board(sc Scale) *board {
+	b := newBoard(sc, d.opts.LeaseTTL, d.opts.MaxInflight, d.opts.MaxAttempts, true)
+	b.fobs = d.opts.Obs
+	return b
+}
+
+// serve is the remote transport: listen, invite the fleet to pull,
+// reap expired leases (watching for total fleet loss) until the board
+// closes, and return its terminal error.
 func (d *Dispatcher) serve(ctx context.Context, b *board) error {
 	ln, err := net.Listen("tcp", d.opts.Addr)
 	if err != nil {
@@ -210,15 +181,10 @@ func (d *Dispatcher) serve(ctx context.Context, b *board) error {
 		}
 	}()
 
-	select {
-	case <-ctx.Done():
-		// Revoke everything in flight *before* returning: a
-		// SIGTERM'd coordinator must leave no orphaned leases, and
-		// any completion racing in after this point is rejected
-		// with 410 and discarded.
-		b.close(ctx.Err())
-	case <-b.doneCh:
-	}
+	// Cancellation closes the board too, revoking everything in flight
+	// before this returns: a SIGTERM'd coordinator leaves no orphaned
+	// leases, and any completion racing in later is rejected with 410
+	// and discarded.
 	<-reapDone
 	return b.wait()
 }

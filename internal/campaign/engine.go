@@ -26,8 +26,10 @@ type Options struct {
 	// Cache, when non-nil, is consulted before and written after every
 	// job.
 	Cache Cache
-	// OnProgress, when non-nil, is called after every completed job
-	// with the running totals (done out of total, cache hits so far).
+	// OnProgress, when non-nil, is called as each cell retires with
+	// the running totals in cells: done out of total, and how many of
+	// them the cache served entirely. Calls are serialized, in
+	// completion order.
 	OnProgress func(done, total, hits int)
 	// OnJobTime, when non-nil, is called with each simulated job's wall
 	// time (cache hits excluded). It runs on worker goroutines and must
@@ -54,9 +56,10 @@ type Options struct {
 	OnTrace func(total, dropped uint64)
 }
 
-// Engine executes expanded job sets. It is stateless apart from its
-// options and safe for concurrent Run calls (the mmmd service runs
-// several campaigns at once on one engine).
+// Engine is the local Runner: the scheduler with in-process slots as
+// its transport. It is stateless apart from its options and safe for
+// concurrent runs (the mmmd service runs several campaigns at once on
+// one engine).
 type Engine struct {
 	opts Options
 }
@@ -76,15 +79,19 @@ type Result struct {
 	CacheHit bool
 }
 
-// ResultSet holds a campaign's completed jobs in expansion order —
-// independent of worker-pool scheduling, so aggregation over it is
-// deterministic for any parallelism.
+// ResultSet holds a campaign's completed cells in expansion order —
+// independent of scheduling, so aggregation over it is deterministic
+// for any parallelism or transport.
 type ResultSet struct {
 	Scale   Scale
 	Results []Result
-	Hits    int
-	Misses  int
-	Wall    time.Duration
+	// Hits and Misses count waves served from the cache and simulated.
+	// A fixed campaign has one wave per cell, so they count its jobs;
+	// an adaptive cell contributes one per wave. Count Results with
+	// CacheHit set for cache hits in cells.
+	Hits   int
+	Misses int
+	Wall   time.Duration
 }
 
 // ByKey groups metrics by aggregation key, preserving expansion order
@@ -98,125 +105,106 @@ func (rs *ResultSet) ByKey() map[string][]core.Metrics {
 	return out
 }
 
-// Run executes jobs on the bounded pool, serving and filling the cache,
-// and returns the ordered results. It stops early when ctx is
-// cancelled or a job fails, returning the first error.
+// Run executes an expanded job set on the bounded pool, serving and
+// filling the cache, and returns the ordered results. It stops early
+// when ctx is cancelled or a job fails, returning the first error.
 func (e *Engine) Run(ctx context.Context, sc Scale, jobs []Job) (*ResultSet, error) {
-	start := time.Now()
-	rs := &ResultSet{Scale: sc, Results: make([]Result, len(jobs))}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	e.opts.Journal.Begin(sc, jobs)
+	return e.run(ctx, fixedPlanner(sc, jobs))
+}
 
-	var (
-		mu       sync.Mutex
-		firstErr error
-		done     int
-		hits     int
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		cancel()
+// RunSpec executes a whole campaign spec: adaptively when it carries a
+// precision block, as its expanded job set otherwise.
+func (e *Engine) RunSpec(ctx context.Context, sc Scale, spec Spec) (*ResultSet, error) {
+	p, err := planSpec(sc, spec)
+	if err != nil {
+		return nil, err
 	}
-	finish := func(hit bool) {
-		mu.Lock()
-		done++
-		if hit {
-			hits++
-		}
-		// The callback runs under the lock so progress is delivered in
-		// order; consumers must not call back into the engine.
-		if e.opts.OnProgress != nil {
-			e.opts.OnProgress(done, len(jobs), hits)
-		}
-		mu.Unlock()
-	}
+	return e.run(ctx, p)
+}
 
-	work := make(chan int)
+// run schedules a planned campaign on the local transport.
+func (e *Engine) run(ctx context.Context, p *planner) (*ResultSet, error) {
+	return schedule(ctx, p, e, e.opts.Cache, e.opts.Journal, e.opts.OnProgress)
+}
+
+// board builds a local board: one lease per slot, and a job error
+// fails the run at once (an attempt budget of 1). Local slots cannot
+// go silent, so no lease ever expires and no reaper runs.
+func (e *Engine) board(sc Scale) *board {
+	return newBoard(sc, 0, e.opts.Parallel, 1, false)
+}
+
+// serve is the local transport: Parallel in-process slots pull from
+// the board by direct calls — no HTTP, no polling — blocking until
+// work arrives or the board closes. The slot number doubles as the
+// journal's worker label, mirroring the worker names of distributed
+// runs.
+func (e *Engine) serve(_ context.Context, b *board) error {
+	x := jobExec{
+		onJobTime:  e.opts.OnJobTime,
+		traceDir:   e.opts.TraceDir,
+		traceMatch: e.opts.TraceMatch,
+		onTrace:    e.opts.OnTrace,
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < e.opts.Parallel; w++ {
 		wg.Add(1)
-		// The pool slot doubles as the journal's worker label for local
-		// runs, mirroring the worker names of distributed ones.
 		label := "local-" + strconv.Itoa(w)
 		go func() {
 			defer wg.Done()
-			// Per-worker scratch: each worker recycles the cache
-			// hierarchy's multi-megabyte line arrays across the chips it
-			// builds, instead of allocating ~10 MB per job for the
-			// garbage collector to chase. The recycler is confined to
-			// this goroutine, so no locking is involved.
+			// Per-slot scratch: each slot recycles the cache hierarchy's
+			// multi-megabyte line arrays across the chips it builds,
+			// instead of allocating ~10 MB per job for the garbage
+			// collector to chase. The recycler is confined to this
+			// goroutine, so no locking is involved.
 			scratch := cache.NewRecycler()
-			for i := range work {
-				j := jobs[i]
-				fp := j.Fingerprint(sc)
-				if e.opts.Cache != nil {
-					if m, ok := e.opts.Cache.Get(fp); ok {
-						rs.Results[i] = Result{Job: j, Metrics: m, CacheHit: true}
-						e.opts.Journal.CellDone(i, j, m, true, "", 0, 0)
-						finish(true)
-						continue
-					}
-				}
-				e.opts.Journal.Started(i, j, label, 1)
-				rec := traceRecorder(e.opts.TraceDir, e.opts.TraceMatch, j)
-				jobStart := time.Now()
-				m, err := runJob(sc, j, scratch, rec)
-				if err != nil {
-					e.opts.Journal.CellFailed(i, j, label, 1, err.Error())
-					fail(err)
+			for {
+				id, bj, state := b.lease(label, true)
+				if state == boardOver {
 					return
 				}
-				if e.opts.OnJobTime != nil {
-					e.opts.OnJobTime(time.Since(jobStart))
-				}
-				if rec != nil {
-					if err := writeTrace(e.opts.TraceDir, j, rec); err != nil {
-						fail(err)
-						return
-					}
-					if e.opts.OnTrace != nil {
-						e.opts.OnTrace(rec.Total(), rec.Dropped())
-					}
-				}
-				if e.opts.Cache != nil {
-					if err := e.opts.Cache.Put(fp, m); err != nil {
-						fail(err)
-						return
-					}
-				}
-				rs.Results[i] = Result{Job: j, Metrics: m}
-				e.opts.Journal.CellDone(i, j, m, false, label, time.Since(jobStart), 1)
-				finish(false)
+				m, err := x.run(b.sc, bj.job, scratch)
+				b.complete(id, bj.fp, &m, err)
 			}
 		}()
 	}
-feed:
-	for i := range jobs {
-		select {
-		case work <- i:
-		case <-ctx.Done():
-			break feed
+	wg.Wait()
+	return b.wait()
+}
+
+// jobExec is the one job-execution path, shared by the local slots
+// and fleet workers: simulate under a flight recorder when tracing
+// matches the job, report the wall time, and write the trace. The
+// hooks mirror the trace and timing fields of Options and
+// WorkerOptions.
+type jobExec struct {
+	onJobTime  func(time.Duration)
+	traceDir   string
+	traceMatch string
+	onTrace    func(total, dropped uint64)
+}
+
+// run executes one job. scratch recycles chip arrays across the jobs
+// of one slot; nil is valid.
+func (x jobExec) run(sc Scale, j Job, scratch *cache.Recycler) (core.Metrics, error) {
+	rec := traceRecorder(x.traceDir, x.traceMatch, j)
+	start := time.Now()
+	m, err := runJob(sc, j, scratch, rec)
+	if err != nil {
+		return core.Metrics{}, err
+	}
+	if x.onJobTime != nil {
+		x.onJobTime(time.Since(start))
+	}
+	if rec != nil {
+		if err := writeTrace(x.traceDir, j, rec); err != nil {
+			return core.Metrics{}, err
+		}
+		if x.onTrace != nil {
+			x.onTrace(rec.Total(), rec.Dropped())
 		}
 	}
-	close(work)
-	wg.Wait()
-
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	mu.Lock()
-	rs.Hits, rs.Misses = hits, done-hits
-	mu.Unlock()
-	rs.Wall = time.Since(start)
-	return rs, nil
+	return m, nil
 }
 
 // runJob builds and measures one simulation (or, for reliability

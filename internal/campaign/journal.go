@@ -99,12 +99,10 @@ type Journal struct {
 	next   int // next cell index to merge
 	staged map[int]*stagedCell
 
-	// Adaptive runs: cell indices are cell-template lookups, not the
-	// board's job indices (the board numbers waves, the journal numbers
-	// cells), and the merged prefix is fed by CellMerged instead of
-	// CellDone — one merged event per retired cell.
+	// adaptive runs complete many waves per cell, so the merged prefix
+	// is fed by CellMerged instead of CellDone — one merged event per
+	// retired cell.
 	adaptive bool
-	cells    map[Job]int
 }
 
 // NewJournal opens a journal for runID. When path is non-empty the
@@ -164,6 +162,15 @@ func (j *Journal) emitLocked(ev Event) {
 // Begin records the run's expansion: the first event, carrying the
 // cell count and scale.
 func (j *Journal) Begin(sc Scale, jobs []Job) {
+	j.begin(sc, len(jobs), nil)
+}
+
+// begin records a run's expansion into cells. An adaptive run (prec
+// non-nil) counts cells, not waves — wave counts are not known up
+// front, that is the point — and carries its normalized precision
+// block on the expanded event. Every cell-scoped event of a run is
+// indexed by the cell's expansion index.
+func (j *Journal) begin(sc Scale, cells int, prec *Precision) {
 	if j == nil {
 		return
 	}
@@ -172,53 +179,16 @@ func (j *Journal) Begin(sc Scale, jobs []Job) {
 	if j.closed {
 		return
 	}
-	j.total = len(jobs)
+	j.total = cells
 	j.scale = sc
+	j.adaptive = prec != nil
 	scale := sc
-	j.emitLocked(Event{Type: EventExpanded, Run: j.runID, Cell: -1,
-		Total: len(jobs), Scale: &scale})
-}
-
-// BeginAdaptive records an adaptive run's expansion: Total counts
-// cells (not waves — wave counts are not known up front, that is the
-// point), the normalized precision block rides on the expanded event,
-// and subsequent cell-scoped events are re-indexed from whatever job
-// index the emitter used (the board numbers waves) to the cell's
-// expansion index via its wave-invariant template.
-func (j *Journal) BeginAdaptive(sc Scale, cells []Job, prec Precision) {
-	if j == nil {
-		return
+	ev := Event{Type: EventExpanded, Run: j.runID, Cell: -1, Total: cells, Scale: &scale}
+	if prec != nil {
+		p := *prec
+		ev.Precision = &p
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return
-	}
-	j.total = len(cells)
-	j.scale = sc
-	j.adaptive = true
-	j.cells = make(map[Job]int, len(cells))
-	for i, c := range cells {
-		j.cells[cellTemplate(c)] = i
-	}
-	scale := sc
-	p := prec
-	j.emitLocked(Event{Type: EventExpanded, Run: j.runID, Cell: -1,
-		Total: len(cells), Scale: &scale, Precision: &p})
-}
-
-// cellOfLocked maps an emitter's job index to the journal's cell
-// index: the identity for fixed-batch runs, the cell-template lookup
-// for adaptive runs (where the board hands out wave jobs whose board
-// indices mean nothing cell-wise).
-func (j *Journal) cellOfLocked(idx int, job Job) int {
-	if !j.adaptive {
-		return idx
-	}
-	if c, ok := j.cells[cellTemplate(job)]; ok {
-		return c
-	}
-	return idx
+	j.emitLocked(ev)
 }
 
 // Leased records a lease grant; an Attempt above 1 additionally emits
@@ -233,7 +203,6 @@ func (j *Journal) Leased(idx int, job Job, worker string, attempt int) {
 	if j.closed {
 		return
 	}
-	idx = j.cellOfLocked(idx, job)
 	if attempt > 1 {
 		j.emitLocked(Event{Type: EventReassigned, Cell: idx, Key: job.Key(),
 			Worker: worker, Attempt: attempt, Wave: job.Knobs.Wave})
@@ -252,7 +221,7 @@ func (j *Journal) Started(idx int, job Job, worker string, attempt int) {
 	if j.closed {
 		return
 	}
-	j.emitLocked(Event{Type: EventStarted, Cell: j.cellOfLocked(idx, job), Key: job.Key(),
+	j.emitLocked(Event{Type: EventStarted, Cell: idx, Key: job.Key(),
 		Worker: worker, Attempt: attempt, Wave: job.Knobs.Wave})
 }
 
@@ -266,7 +235,7 @@ func (j *Journal) HeartbeatMissed(idx int, job Job, worker string, attempt int) 
 	if j.closed {
 		return
 	}
-	j.emitLocked(Event{Type: EventHeartbeatMissed, Cell: j.cellOfLocked(idx, job), Key: job.Key(),
+	j.emitLocked(Event{Type: EventHeartbeatMissed, Cell: idx, Key: job.Key(),
 		Worker: worker, Attempt: attempt, Wave: job.Knobs.Wave})
 }
 
@@ -281,7 +250,7 @@ func (j *Journal) CellFailed(idx int, job Job, worker string, attempt int, errMs
 	if j.closed {
 		return
 	}
-	j.emitLocked(Event{Type: EventFailed, Cell: j.cellOfLocked(idx, job), Key: job.Key(),
+	j.emitLocked(Event{Type: EventFailed, Cell: idx, Key: job.Key(),
 		Worker: worker, Attempt: attempt, Error: errMsg, Wave: job.Knobs.Wave})
 }
 
@@ -289,7 +258,7 @@ func (j *Journal) CellFailed(idx int, job Job, worker string, attempt int, errMs
 // wave of an adaptive cell on the schedule; half is the cell's Wilson
 // half-width going into the wave (1 before any trials ran — no data,
 // widest possible interval).
-func (j *Journal) WaveScheduled(job Job, half float64) {
+func (j *Journal) WaveScheduled(cell int, job Job, half float64) {
 	if j == nil {
 		return
 	}
@@ -298,14 +267,14 @@ func (j *Journal) WaveScheduled(job Job, half float64) {
 	if j.closed {
 		return
 	}
-	j.emitLocked(Event{Type: EventWaveScheduled, Cell: j.cellOfLocked(-1, job), Key: job.Key(),
+	j.emitLocked(Event{Type: EventWaveScheduled, Cell: cell, Key: job.Key(),
 		Wave: job.Knobs.Wave, Trials: job.Knobs.ReliaTrials, HalfWidth: half})
 }
 
 // CellRetired records an adaptive cell leaving the schedule after
 // trials total trials with final half-width half; capped marks a cell
 // that hit MaxTrials instead of its target.
-func (j *Journal) CellRetired(job Job, trials int, half float64, capped bool) {
+func (j *Journal) CellRetired(cell int, job Job, trials int, half float64, capped bool) {
 	if j == nil {
 		return
 	}
@@ -314,7 +283,7 @@ func (j *Journal) CellRetired(job Job, trials int, half float64, capped bool) {
 	if j.closed {
 		return
 	}
-	j.emitLocked(Event{Type: EventCellRetired, Cell: j.cellOfLocked(-1, job), Key: job.Key(),
+	j.emitLocked(Event{Type: EventCellRetired, Cell: cell, Key: job.Key(),
 		Trials: trials, HalfWidth: half, Capped: capped})
 }
 
@@ -322,7 +291,7 @@ func (j *Journal) CellRetired(job Job, trials int, half float64, capped bool) {
 // retired cell with the cell's template job and wave-merged metrics
 // (hit reports whether every wave came from the cache). The same
 // exactly-once, expansion-order staging as fixed-batch CellDone.
-func (j *Journal) CellMerged(job Job, m core.Metrics, hit bool) {
+func (j *Journal) CellMerged(cell int, job Job, m core.Metrics, hit bool) {
 	if j == nil {
 		return
 	}
@@ -331,11 +300,10 @@ func (j *Journal) CellMerged(job Job, m core.Metrics, hit bool) {
 	if j.closed {
 		return
 	}
-	idx := j.cellOfLocked(-1, job)
-	if idx < j.next || idx < 0 || j.staged[idx] != nil {
+	if cell < j.next || j.staged[cell] != nil {
 		return
 	}
-	j.staged[idx] = &stagedCell{job: job, m: m, hit: hit}
+	j.staged[cell] = &stagedCell{job: job, m: m, hit: hit}
 	j.mergeReadyLocked()
 }
 
@@ -355,30 +323,23 @@ func (j *Journal) CellDone(idx int, job Job, m core.Metrics, hit bool, worker st
 	if j.closed {
 		return
 	}
-	if j.adaptive {
-		// Adaptive runs complete many waves per cell: record each one
-		// (the board already deduplicates deliveries per wave job), but
-		// leave the merged prefix to CellMerged — a cell merges once,
-		// when it retires with its wave-merged aggregate.
-		cell := j.cellOfLocked(idx, job)
-		if hit {
-			j.emitLocked(Event{Type: EventCacheHit, Cell: cell, Key: job.Key(), Hit: true,
-				Wave: job.Knobs.Wave})
-		} else {
-			j.emitLocked(Event{Type: EventCompleted, Cell: cell, Key: job.Key(),
-				Worker: worker, Attempt: attempt, WallMS: wall.Milliseconds(),
-				Wave: job.Knobs.Wave})
-		}
-		return
-	}
-	if idx < j.next || j.staged[idx] != nil {
+	if !j.adaptive && (idx < j.next || j.staged[idx] != nil) {
 		return
 	}
 	if hit {
-		j.emitLocked(Event{Type: EventCacheHit, Cell: idx, Key: job.Key(), Hit: true})
+		j.emitLocked(Event{Type: EventCacheHit, Cell: idx, Key: job.Key(), Hit: true,
+			Wave: job.Knobs.Wave})
 	} else {
 		j.emitLocked(Event{Type: EventCompleted, Cell: idx, Key: job.Key(),
-			Worker: worker, Attempt: attempt, WallMS: wall.Milliseconds()})
+			Worker: worker, Attempt: attempt, WallMS: wall.Milliseconds(),
+			Wave: job.Knobs.Wave})
+	}
+	if j.adaptive {
+		// Adaptive runs complete many waves per cell: each one is
+		// recorded (the board already deduplicates deliveries per wave
+		// job), but a cell merges once, when it retires with its
+		// wave-merged aggregate — CellMerged feeds the prefix.
+		return
 	}
 	j.staged[idx] = &stagedCell{job: job, m: m, hit: hit, worker: worker, wall: wall}
 	j.mergeReadyLocked()

@@ -480,48 +480,95 @@ func TestAttributeReport(t *testing.T) {
 	}
 }
 
-// TestEngineJournalShape: a journaled local run emits the full
-// vocabulary with local worker labels and per-cell wall times.
+// TestEngineJournalShape: each transport journals its own vocabulary
+// and nothing more, cold and warm. A journaled local run emits started
+// and completed events under local worker labels; a fleet run adds
+// lease grants. Fixed campaigns never emit the adaptive events, local
+// runs never emit lease events, every merged event carries its cache
+// key, and the journal replays to the live rows byte for byte.
 func TestEngineJournalShape(t *testing.T) {
 	jobs := determinismJobs(t)
-	j, err := NewJournal("local", "")
-	if err != nil {
-		t.Fatal(err)
+	_, ts1 := startWorker(t, "w1", 2, nil)
+	_, ts2 := startWorker(t, "w2", 2, nil)
+	transports := []struct {
+		name  string
+		local bool
+		run   func(c Cache, j *Journal) Runner
+	}{
+		{"local", true, func(c Cache, j *Journal) Runner {
+			return New(Options{Parallel: 2, Cache: c, Journal: j, OnTrace: func(tt, dd uint64) {}})
+		}},
+		{"fleet", false, func(c Cache, j *Journal) Runner {
+			return NewDispatcher(DispatchOptions{Workers: []string{ts1.URL, ts2.URL},
+				Cache: c, Journal: j, LeaseTTL: 2 * time.Second})
+		}},
 	}
-	var total, dropped uint64
-	eng := New(Options{Parallel: 2, Journal: j, OnTrace: func(tt, dd uint64) {
-		total += tt
-		dropped += dd
-	}})
-	if _, err := eng.Run(context.Background(), microScale(), jobs); err != nil {
-		t.Fatal(err)
-	}
-	j.Finish(nil)
-
-	events := j.Events()
-	types := journalTypes(events)
-	if types[EventExpanded] != 1 || types[EventStarted] != len(jobs) ||
-		types[EventCompleted] != len(jobs) || types[EventMerged] != len(jobs) {
-		t.Fatalf("local journal shape: %v", types)
-	}
-	for i := range events {
-		ev := &events[i]
-		switch ev.Type {
-		case EventStarted, EventCompleted:
-			if len(ev.Worker) < 6 || ev.Worker[:6] != "local-" {
-				t.Fatalf("local run labeled %q", ev.Worker)
+	for _, tr := range transports {
+		cache := NewMemCache()
+		for _, warm := range []bool{false, true} {
+			name := fmt.Sprintf("%s/warm=%v", tr.name, warm)
+			j, err := NewJournal(name, "")
+			if err != nil {
+				t.Fatal(err)
 			}
-		case EventMerged:
-			if ev.Key == "" || ev.Fp == "" {
-				t.Fatalf("merged event lacks key/fingerprint: %+v", ev)
+			rows, _ := runRows(t, tr.run(cache, j), jobs)
+			j.Finish(nil)
+
+			events := j.Events()
+			types := journalTypes(events)
+			if types[EventExpanded] != 1 || types[EventMerged] != len(jobs) {
+				t.Fatalf("%s: journal shape: %v", name, types)
+			}
+			if warm {
+				if types[EventCacheHit] != len(jobs) || types[EventStarted] != 0 || types[EventCompleted] != 0 {
+					t.Fatalf("%s: warm journal shape: %v", name, types)
+				}
+			} else if types[EventStarted] != len(jobs) || types[EventCompleted] != len(jobs) {
+				t.Fatalf("%s: cold journal shape: %v", name, types)
+			}
+			if types[EventWaveScheduled] != 0 || types[EventCellRetired] != 0 {
+				t.Fatalf("%s: fixed campaign journaled adaptive events: %v", name, types)
+			}
+			if tr.local && (types[EventLeased] != 0 || types[EventHeartbeatMissed] != 0) {
+				t.Fatalf("%s: local run journaled lease events: %v", name, types)
+			}
+			for i := range events {
+				ev := &events[i]
+				switch ev.Type {
+				case EventStarted, EventCompleted:
+					if tr.local && (len(ev.Worker) < 6 || ev.Worker[:6] != "local-") {
+						t.Fatalf("%s: local run labeled %q", name, ev.Worker)
+					}
+				case EventMerged:
+					if ev.Key == "" || ev.Fp == "" {
+						t.Fatalf("%s: merged event lacks key/fingerprint: %+v", name, ev)
+					}
+				}
+			}
+
+			chk, err := ValidateEvents(events)
+			if err != nil || !chk.Complete {
+				t.Fatalf("%s: journal check %+v, %v", name, chk, err)
+			}
+			replayed, err := ReplayResults(events)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := stats.WriteRowsJSON(&buf, Summarize(replayed)); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(rows, buf.Bytes()) {
+				t.Fatalf("%s: journal replay diverges:\nlive:   %s\nreplay: %s", name, rows, buf.Bytes())
+			}
+
+			// The attribution over a cold journal sees the pool slots or
+			// fleet workers as workers.
+			if rep := Attribute(name, events); rep.Outcome != "done" ||
+				(!warm && (len(rep.Workers) == 0 || len(rep.Workers) > 2)) {
+				t.Fatalf("%s: attribution: %+v", name, rep)
 			}
 		}
-	}
-	// The attribution over a local journal sees the pool slots as
-	// workers.
-	rep := Attribute("local", events)
-	if rep.Outcome != "done" || len(rep.Workers) == 0 || len(rep.Workers) > 2 {
-		t.Fatalf("local attribution: %+v", rep)
 	}
 }
 

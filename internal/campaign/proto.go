@@ -25,7 +25,7 @@ import (
 //
 // Worker endpoints (served by mmmd -worker, called by coordinators):
 //
-//	POST /attach  -> attachResponse | 409 (incompatible build)
+//	POST /v1/attach -> attachResponse | 409 (incompatible build)
 //	GET  /healthz, GET /status
 //
 // protoVersion gates the wire format; protocolCheck() additionally
@@ -36,8 +36,7 @@ import (
 //
 // v2: the wire bodies are the typed internal/api structs, wave jobs
 // (Knobs.Wave/TrialOffset) exist on the wire, and the worker's attach
-// endpoint is canonically POST /v1/attach (the unversioned path stays
-// as a deprecated alias). A v1 peer would run wave jobs as plain
+// endpoint is POST /v1/attach. A v1 peer would run wave jobs as plain
 // batches — silently wrong trials — so mixed fleets are refused.
 const protoVersion = 2
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/stats"
 )
@@ -286,11 +287,10 @@ func TestShutdownNeverDoubleCounts(t *testing.T) {
 // behavior can be pinned without a dispatcher in the way.
 func boardFixture(t *testing.T, jobs []Job, ttl time.Duration, maxInflight int) (*board, *httptest.Server) {
 	t.Helper()
-	todo := make([]int, len(jobs))
-	for i := range todo {
-		todo[i] = i
+	b := newBoard(microScale(), ttl, maxInflight, 3, true)
+	for i, j := range jobs {
+		b.add([]boardJob{{job: j, fp: j.Fingerprint(microScale()), cell: i, prio: 1}})
 	}
-	b := newBoard(microScale(), jobs, todo, ttl, maxInflight, 3, nil)
 	ts := httptest.NewServer(b.handler())
 	t.Cleanup(ts.Close)
 	return b, ts
@@ -472,7 +472,7 @@ func TestBoardAttemptBudgetFailsCampaign(t *testing.T) {
 func TestWorkerRefusesIncompatibleCoordinator(t *testing.T) {
 	w, ts := startWorker(t, "w1", 1, nil)
 	body, _ := json.Marshal(attachRequest{Coordinator: "http://127.0.0.1:1", Check: "p1.s1.beef"})
-	resp, err := http.Post(ts.URL+"/attach", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+api.PathPrefix+"/attach", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,8 +46,8 @@ type WorkerOptions struct {
 	OnTrace func(total, dropped uint64)
 }
 
-// Worker is the fleet-side runtime behind mmmd -worker: it serves an
-// /attach endpoint, and for every attached coordinator runs pull
+// Worker is the fleet-side runtime behind mmmd -worker: it serves a
+// /v1/attach endpoint, and for every attached coordinator runs pull
 // loops that lease jobs, heartbeat while simulating, and complete
 // with canonical metrics plus the job's cache key. A worker holds no
 // campaign state: between jobs it is a blank simulator, so killing
@@ -55,6 +55,7 @@ type WorkerOptions struct {
 // expires and reassigns).
 type Worker struct {
 	opts  WorkerOptions
+	exec  jobExec
 	check string
 	slots chan struct{}
 
@@ -88,7 +89,13 @@ func NewWorker(opts WorkerOptions) *Worker {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Worker{
-		opts:        opts,
+		opts: opts,
+		exec: jobExec{
+			onJobTime:  opts.OnJobTime,
+			traceDir:   opts.TraceDir,
+			traceMatch: opts.TraceMatch,
+			onTrace:    opts.OnTrace,
+		},
 		check:       protocolCheck(),
 		slots:       make(chan struct{}, opts.Capacity),
 		ctx:         ctx,
@@ -97,12 +104,11 @@ func NewWorker(opts WorkerOptions) *Worker {
 	}
 }
 
-// Handler routes the worker's coordinator-facing endpoints. Attach is
-// canonical under /v1 (protoVersion 2 coordinators post there); the
-// unversioned spelling stays as a deprecated alias for by-hand
-// attachment and old scripts. The board's own lease endpoints are not
-// versioned this way — they are ephemeral per-campaign internals,
-// guarded by the protocol check token instead.
+// Handler routes the worker's coordinator-facing endpoints. Attach
+// lives under /v1 (protoVersion 2 coordinators post there). The
+// board's own lease endpoints are not versioned this way — they are
+// ephemeral per-campaign internals, guarded by the protocol check
+// token instead.
 func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, _ *http.Request) {
@@ -110,11 +116,6 @@ func (w *Worker) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /status", w.handleStatus)
 	mux.HandleFunc("POST "+api.PathPrefix+"/attach", w.handleAttach)
-	mux.HandleFunc("POST /attach", func(rw http.ResponseWriter, req *http.Request) {
-		rw.Header().Set(api.DeprecationHeader, "true")
-		rw.Header().Set("Link", fmt.Sprintf("<%s/attach>; rel=%q", api.PathPrefix, api.SuccessorRel))
-		w.handleAttach(rw, req)
-	})
 	return mux
 }
 
@@ -277,14 +278,6 @@ func (w *Worker) pull(ctx context.Context, boardURL string) {
 	}
 }
 
-type boardState int
-
-const (
-	boardBusy boardState = iota // leased and ran a job
-	boardIdle                   // nothing to lease right now
-	boardOver                   // board closed: campaign done or cancelled
-)
-
 // leaseAndRun performs one lease round trip and, when a job was
 // handed out, runs it to completion.
 func (w *Worker) leaseAndRun(ctx context.Context, boardURL string, scratch *cache.Recycler) (boardState, error) {
@@ -385,25 +378,11 @@ func (w *Worker) runLeased(ctx context.Context, boardURL string, lr leaseRespons
 		}
 	}()
 
-	rec := traceRecorder(w.opts.TraceDir, w.opts.TraceMatch, lr.Job)
-	jobStart := time.Now()
-	m, err := runJob(lr.Scale, lr.Job, scratch, rec)
+	m, err := w.exec.run(lr.Scale, lr.Job, scratch)
 	close(hbStop)
 	<-hbDone
-
 	if err != nil {
 		return nil, err
-	}
-	if w.opts.OnJobTime != nil {
-		w.opts.OnJobTime(time.Since(jobStart))
-	}
-	if rec != nil {
-		if err := writeTrace(w.opts.TraceDir, lr.Job, rec); err != nil {
-			return nil, err
-		}
-		if w.opts.OnTrace != nil {
-			w.opts.OnTrace(rec.Total(), rec.Dropped())
-		}
 	}
 	if revoked.Load() || ctx.Err() != nil {
 		return nil, nil

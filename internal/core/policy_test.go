@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/mode"
@@ -177,8 +178,8 @@ func TestParseKindRoundTrip(t *testing.T) {
 	}
 }
 
-// TestKindJSONRoundTrip: kinds marshal by name and unmarshal from both
-// the name and the legacy integer form.
+// TestKindJSONRoundTrip: kinds marshal by name and unmarshal from the
+// name only; the pre-v4 integer form is refused.
 func TestKindJSONRoundTrip(t *testing.T) {
 	for _, k := range AllKinds() {
 		data, err := k.MarshalJSON()
@@ -191,8 +192,9 @@ func TestKindJSONRoundTrip(t *testing.T) {
 		}
 	}
 	var legacy Kind
-	if err := legacy.UnmarshalJSON([]byte("4")); err != nil || legacy != KindMMMIPC {
-		t.Errorf("legacy integer form: %v, %v", legacy, nil)
+	if err := legacy.UnmarshalJSON([]byte("4")); err == nil ||
+		!strings.Contains(err.Error(), "MMM-IPC") {
+		t.Errorf("legacy integer form: err %v, want a refusal naming the valid kinds", err)
 	}
 	if err := legacy.UnmarshalJSON([]byte("99")); err == nil {
 		t.Error("out-of-range integer accepted")

@@ -122,16 +122,15 @@ func (c Config) runSet(jobs []campaign.Job) (*campaign.ResultSet, error) {
 	return r.Run(context.Background(), c.Scale(), jobs)
 }
 
-// runSpec executes a whole spec on the configured runner through
-// campaign.RunSpec, which routes adaptive-precision specs to the
-// sequential-stopping scheduler and everything else through the fixed
-// path runSet uses.
+// runSpec executes a whole spec on the configured runner: adaptive
+// precision specs run with sequential stopping, everything else as
+// its expanded job set, like runSet.
 func (c Config) runSpec(spec campaign.Spec) (*campaign.ResultSet, error) {
 	r := c.Runner
 	if r == nil {
 		r = campaign.New(campaign.Options{Parallel: c.Parallel, Cache: c.Cache})
 	}
-	return campaign.RunSpec(context.Background(), r, c.Scale(), spec)
+	return r.RunSpec(context.Background(), c.Scale(), spec)
 }
 
 // named expands the registered campaign spec under this config's axes
