@@ -1,11 +1,11 @@
 // Command benchgate is the CI bench regression gate: it parses `go
-// test -bench` output for BenchmarkHotPath, takes the per-kind median
-// of the reported cycles/sec metric across repeated runs, compares
-// each median against the latest recorded baseline in
-// BENCH_hotpath.json, and fails (exit 1) when any kind regressed past
-// the tolerance. The fresh numbers are written as JSON so CI can
-// upload them as a build artifact and a human can refresh the
-// baseline from them.
+// test -bench` output for BenchmarkHotPath, takes the median of the
+// reported cycles/sec metric across repeated runs for every
+// kind×workload×seed cell, compares each cell the latest entry of
+// BENCH_hotpath.json records against its fresh median, and fails
+// (exit 1) when any cell regressed past the tolerance. The fresh
+// numbers are written as JSON so CI can upload them as a build
+// artifact and a human can refresh the baseline from them.
 //
 //	go test -run=NONE -bench='BenchmarkHotPath$' -benchtime=1s -count=3 . | tee bench.txt
 //	benchgate -baseline BENCH_hotpath.json -bench bench.txt -tolerance 0.20 -out bench-fresh.json
@@ -40,7 +40,6 @@ import (
 	"regexp"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 )
 
@@ -91,15 +90,15 @@ func cellStatOf(samples []float64) cellStat {
 
 type baselineKind struct {
 	After float64 `json:"after"`
-	// Cells records the per-workload×seed spread behind After
-	// (entries appended before the multi-cell suite lack it; those
-	// baselines gate on the primary cell only).
+	// Cells records the per-workload×seed medians the gate checks
+	// (entries appended before the multi-cell suite lack it and cannot
+	// be gated against).
 	Cells map[string]cellStat `json:"cells,omitempty"`
 }
 
-// primaryCell is the workload/seed cell every kind benches and legacy
-// single-cell baselines implicitly recorded: baseline After values are
-// compared against this cell's median.
+// primaryCell is the workload/seed cell every kind benches: its median
+// is a kind's headline "after" number in appended entries and in the
+// gate's report.
 const primaryCell = "apache/s11"
 
 // benchLine matches one sub-benchmark result line, e.g.
@@ -108,57 +107,48 @@ const primaryCell = "apache/s11"
 //
 // capturing the full sub-benchmark name ("MMM-IPC/apache/s11"; the
 // trailing -N is the GOMAXPROCS suffix, omitted when GOMAXPROCS=1) and
-// the cycles/sec value. Pre-multi-cell output ("MMM-IPC" alone) parses
-// too and maps onto the primary cell.
+// the cycles/sec value.
 var benchLine = regexp.MustCompile(`^BenchmarkHotPath/(.+?)(?:-\d+)?\s+.*?([0-9.e+]+) cycles/sec`)
 
+// cellName is the sub-benchmark name form: <kind>/<workload>/s<seed>.
+var cellName = regexp.MustCompile(`^([^/]+)/([^/]+/s[0-9]+)$`)
+
 // parseBench collects every sub-benchmark's cycles/sec samples from go
-// test -bench output (repeated runs via -count yield repeated samples).
-func parseBench(r io.Reader) (map[string][]float64, error) {
-	out := make(map[string][]float64)
+// test -bench output (repeated runs via -count yield repeated samples),
+// indexed by kind, then workload×seed cell. A BenchmarkHotPath line
+// that names no cell is an error: its samples cannot be gated.
+func parseBench(r io.Reader) (map[string]map[string][]float64, error) {
+	out := make(map[string]map[string][]float64)
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		m := benchLine.FindStringSubmatch(sc.Text())
 		if m == nil {
 			continue
 		}
+		k, c, ok := splitCell(m[1])
+		if !ok {
+			return nil, fmt.Errorf("benchgate: %q names no cell, want BenchmarkHotPath/<kind>/<workload>/s<seed>", m[1])
+		}
 		v, err := strconv.ParseFloat(m[2], 64)
 		if err != nil {
 			return nil, fmt.Errorf("benchgate: bad cycles/sec in %q: %w", sc.Text(), err)
 		}
-		out[m[1]] = append(out[m[1]], v)
+		if out[k] == nil {
+			out[k] = make(map[string][]float64)
+		}
+		out[k][c] = append(out[k][c], v)
 	}
 	return out, sc.Err()
 }
 
 // splitCell splits a sub-benchmark name into system kind and
-// workload×seed cell; a bare kind (legacy output) is the primary cell.
-func splitCell(name string) (kind, cell string) {
-	if i := strings.Index(name, "/"); i >= 0 {
-		return name[:i], name[i+1:]
+// workload×seed cell; ok is false unless the name has cellName's form.
+func splitCell(name string) (kind, cell string, ok bool) {
+	m := cellName.FindStringSubmatch(name)
+	if m == nil {
+		return "", "", false
 	}
-	return name, primaryCell
-}
-
-// groupCells indexes parsed samples by kind, then cell. Names are
-// walked in sorted order so that when two bench names fold into one
-// cell (legacy bare-kind lines plus explicit primary-cell lines) the
-// merged sample order does not depend on map iteration order.
-func groupCells(samples map[string][]float64) map[string]map[string][]float64 {
-	names := make([]string, 0, len(samples))
-	for name := range samples {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make(map[string]map[string][]float64)
-	for _, name := range names {
-		k, c := splitCell(name)
-		if out[k] == nil {
-			out[k] = make(map[string][]float64)
-		}
-		out[k][c] = append(out[k][c], samples[name]...)
-	}
-	return out
+	return m[1], m[2], true
 }
 
 // median returns the middle sample (lower-middle for even counts).
@@ -219,8 +209,8 @@ type gateResult struct {
 }
 
 type gateKind struct {
-	// Median/Min/Max/Samples describe the primary cell — the series
-	// every baseline entry (old or new) records.
+	// Median/Min/Max/Samples describe the primary cell, the kind's
+	// headline series; Baseline is that cell's recorded median.
 	Median   float64   `json:"median"`
 	Min      float64   `json:"min"`
 	Max      float64   `json:"max"`
@@ -233,12 +223,12 @@ type gateKind struct {
 	Cells map[string]cellStat `json:"cells"`
 }
 
-// gate compares fresh medians against the baseline: every baseline
-// kind's After against its primary-cell median, plus — when the
-// baseline entry records per-cell numbers — each recorded cell against
-// its fresh counterpart. A baseline kind or cell with no fresh samples
-// is itself a gate failure: a benchmark that silently stopped running
-// must not pass.
+// gate compares fresh medians against the baseline: each cell a
+// baseline kind records against its fresh counterpart, so a regression
+// confined to one workload or seed fails like any other. A baseline
+// kind without recorded cells, or a kind or cell with no fresh
+// samples, is itself a gate failure: a baseline that cannot be checked
+// or a benchmark that silently stopped running must not pass.
 func gate(baseline map[string]baselineKind, grouped map[string]map[string][]float64, tolerance float64) gateResult {
 	res := gateResult{
 		Benchmark:   "BenchmarkHotPath",
@@ -256,30 +246,27 @@ func gate(baseline map[string]baselineKind, grouped map[string]map[string][]floa
 	for _, k := range kinds {
 		base := baseline[k]
 		cells := grouped[k]
-		ss := cells[primaryCell]
-		if len(ss) == 0 {
-			res.Regressions = append(res.Regressions,
-				fmt.Sprintf("%s: no %s samples (benchmark did not run)", k, primaryCell))
+		if len(base.Cells) == 0 {
+			res.Regressions = append(res.Regressions, fmt.Sprintf(
+				"%s: baseline records no cells to gate (refresh it with benchgate -update)", k))
 			continue
 		}
-		med := median(ss)
-		lo, hi := spread(ss)
-		gk := gateKind{Median: med, Min: lo, Max: hi, CV: cv(ss), Samples: ss,
-			Baseline: base.After, Cells: make(map[string]cellStat)}
-		if base.After > 0 {
-			gk.Ratio = med / base.After
-			if med < base.After*(1-tolerance) {
-				res.Regressions = append(res.Regressions, fmt.Sprintf(
-					"%s: median %.0f cycles/sec vs baseline %.0f (%.0f%% of baseline, floor %.0f%%)",
-					k, med, base.After, 100*gk.Ratio, 100*(1-tolerance)))
-			}
+		if len(cells) == 0 {
+			res.Regressions = append(res.Regressions,
+				fmt.Sprintf("%s: no samples (benchmark did not run)", k))
+			continue
 		}
+		gk := gateKind{Cells: make(map[string]cellStat, len(cells))}
 		for c, cs := range cells {
 			gk.Cells[c] = cellStatOf(cs)
 		}
-		// Baselines that record per-cell numbers gate each cell, so a
-		// regression confined to one workload or seed cannot hide behind
-		// a healthy primary cell.
+		if ss := cells[primaryCell]; len(ss) > 0 {
+			p := gk.Cells[primaryCell]
+			gk.Median, gk.Min, gk.Max, gk.CV, gk.Samples = p.Median, p.Min, p.Max, p.CV, ss
+			if b := base.Cells[primaryCell].Median; b > 0 {
+				gk.Baseline, gk.Ratio = b, p.Median/b
+			}
+		}
 		baseCells := make([]string, 0, len(base.Cells))
 		for c := range base.Cells {
 			baseCells = append(baseCells, c)
@@ -413,11 +400,10 @@ func main() {
 		defer f.Close()
 		in = f
 	}
-	samples, err := parseBench(in)
+	grouped, err := parseBench(in)
 	if err != nil {
 		fatal("%v", err)
 	}
-	grouped := groupCells(samples)
 
 	if *update {
 		entry, err := buildUpdateEntry(latest, grouped, *pr, time.Now().Format("2006-01-02"), *change)

@@ -8,8 +8,8 @@ import (
 
 // benchFixture is real-shaped `go test -bench -count=3` output from
 // the multi-cell suite: three samples per kind at the primary cell,
-// extra workload/seed cells, kind names containing dashes, legacy
-// cell-less lines, plus noise lines the parser must skip.
+// extra workload/seed cells, kind names containing dashes, a line with
+// no GOMAXPROCS suffix, plus noise lines the parser must skip.
 const benchFixture = `goos: linux
 goarch: amd64
 pkg: repro
@@ -21,18 +21,21 @@ BenchmarkHotPath/NoDMR/oltp/s12-4           	     100	  10000000 ns/op	   200000
 BenchmarkHotPath/MMM-IPC/apache/s11-4      	     100	  10000000 ns/op	   1000000 cycles/sec
 BenchmarkHotPath/MMM-IPC/apache/s11-4      	     100	  10000000 ns/op	    900000 cycles/sec
 BenchmarkHotPath/MMM-IPC/apache/s11-4      	     100	  10000000 ns/op	    950000 cycles/sec
-BenchmarkHotPath/SingleOS       	       1	  10000000 ns/op	   4000000 cycles/sec
+BenchmarkHotPath/SingleOS/apache/s11       	       1	  10000000 ns/op	   4000000 cycles/sec
 BenchmarkHotPathTick/NoDMR-4    	     100	  10000000 ns/op	    500000 cycles/sec
 PASS
 ok  	repro	1.0s
 `
 
+// legacyLine is pre-multi-cell output: a bare kind with no
+// workload/seed cell.
+const legacyLine = "BenchmarkHotPath/SingleOS       \t       1\t  10000000 ns/op\t   4000000 cycles/sec\n"
+
 func TestParseBenchAndGroup(t *testing.T) {
-	samples, err := parseBench(strings.NewReader(benchFixture))
+	grouped, err := parseBench(strings.NewReader(benchFixture))
 	if err != nil {
 		t.Fatal(err)
 	}
-	grouped := groupCells(samples)
 	if len(grouped) != 3 {
 		t.Fatalf("parsed kinds %v, want NoDMR, MMM-IPC and SingleOS", grouped)
 	}
@@ -46,23 +49,34 @@ func TestParseBenchAndGroup(t *testing.T) {
 	if got := grouped["MMM-IPC"][primaryCell]; len(got) != 3 || got[1] != 900000 {
 		t.Fatalf("MMM-IPC samples: %v", got)
 	}
-	// Legacy cell-less names (and GOMAXPROCS=1 output with no -N
-	// suffix) parse and map onto the primary cell.
+	// GOMAXPROCS=1 output has no -N suffix.
 	if got := grouped["SingleOS"][primaryCell]; len(got) != 1 || got[0] != 4000000 {
 		t.Fatalf("SingleOS samples: %v", got)
+	}
+	// A cell-less line cannot be gated: it is an error naming the
+	// expected form, not a silent primary-cell sample.
+	_, err = parseBench(strings.NewReader(benchFixture + legacyLine))
+	if err == nil || !strings.Contains(err.Error(), "<kind>/<workload>/s<seed>") {
+		t.Fatalf("bare-kind line: err %v, want one naming <kind>/<workload>/s<seed>", err)
 	}
 }
 
 func TestSplitCell(t *testing.T) {
-	cases := []struct{ name, kind, cell string }{
-		{"NoDMR/apache/s11", "NoDMR", "apache/s11"},
-		{"MMM-IPC/oltp/s13", "MMM-IPC", "oltp/s13"},
-		{"SingleOS", "SingleOS", primaryCell},
+	cases := []struct {
+		name, kind, cell string
+		ok               bool
+	}{
+		{"NoDMR/apache/s11", "NoDMR", "apache/s11", true},
+		{"MMM-IPC/oltp/s13", "MMM-IPC", "oltp/s13", true},
+		{"SingleOS", "", "", false},
+		{"SingleOS/apache", "", "", false},
+		{"SingleOS/apache/11", "", "", false},
 	}
 	for _, tc := range cases {
-		k, c := splitCell(tc.name)
-		if k != tc.kind || c != tc.cell {
-			t.Errorf("splitCell(%q) = (%q, %q), want (%q, %q)", tc.name, k, c, tc.kind, tc.cell)
+		k, c, ok := splitCell(tc.name)
+		if k != tc.kind || c != tc.cell || ok != tc.ok {
+			t.Errorf("splitCell(%q) = (%q, %q, %v), want (%q, %q, %v)",
+				tc.name, k, c, ok, tc.kind, tc.cell, tc.ok)
 		}
 	}
 }
@@ -114,7 +128,7 @@ func TestCV(t *testing.T) {
 // TestGateFloorBoundary: the gate fails strictly below
 // baseline*(1-tolerance); a median exactly at the floor passes.
 func TestGateFloorBoundary(t *testing.T) {
-	baseline := map[string]baselineKind{"A": {After: 1000}}
+	baseline := map[string]baselineKind{"A": {Cells: map[string]cellStat{primaryCell: {Median: 1000}}}}
 	at := map[string]map[string][]float64{"A": {primaryCell: {800}}}
 	if res := gate(baseline, at, 0.20); len(res.Regressions) != 0 {
 		t.Errorf("median exactly at the 20%% floor flagged: %v", res.Regressions)
@@ -128,7 +142,7 @@ func TestGateFloorBoundary(t *testing.T) {
 // TestGateRecordsCV: the gate artifact and the appended baseline entry
 // both carry the coefficient of variation next to every median.
 func TestGateRecordsCV(t *testing.T) {
-	baseline := map[string]baselineKind{"A": {After: 100}}
+	baseline := map[string]baselineKind{"A": {Cells: map[string]cellStat{primaryCell: {Median: 100}}}}
 	fresh := map[string]map[string][]float64{"A": {
 		primaryCell: {90, 110},
 		"oltp/s12":  {90, 110},
@@ -158,16 +172,13 @@ func TestGateRecordsCV(t *testing.T) {
 }
 
 func TestGate(t *testing.T) {
-	samples, err := parseBench(strings.NewReader(benchFixture))
+	grouped, err := parseBench(strings.NewReader(benchFixture))
 	if err != nil {
 		t.Fatal(err)
 	}
-	grouped := groupCells(samples)
-	// Legacy baseline entries record only After — they gate against
-	// the primary cell.
 	baseline := map[string]baselineKind{
-		"NoDMR":   {After: 1624690},
-		"MMM-IPC": {After: 1034722},
+		"NoDMR":   {Cells: map[string]cellStat{primaryCell: {Median: 1624690}}},
+		"MMM-IPC": {Cells: map[string]cellStat{primaryCell: {Median: 1034722}}},
 	}
 
 	// Medians 1600000 and 950000 are ~0.98x and ~0.92x of baseline:
@@ -199,17 +210,17 @@ func TestGate(t *testing.T) {
 
 	// A baseline kind with no fresh samples is itself a failure — the
 	// gate must not silently pass when a benchmark stops running.
-	baseline["Reunion"] = baselineKind{After: 1000000}
+	baseline["Reunion"] = baselineKind{Cells: map[string]cellStat{primaryCell: {Median: 1000000}}}
 	res = gate(baseline, grouped, 0.35)
 	if len(res.Regressions) != 1 || !strings.Contains(res.Regressions[0], "Reunion") {
 		t.Fatalf("missing kind not flagged: %v", res.Regressions)
 	}
 	delete(baseline, "Reunion")
 
-	// A baseline that records per-cell numbers gates each cell: a
-	// regression confined to one cell fails even when the primary cell
-	// is healthy, and a cell that stopped running fails too.
-	baseline["NoDMR"] = baselineKind{After: 1624690, Cells: map[string]cellStat{
+	// Every recorded cell is gated: a regression confined to one cell
+	// fails even when the primary cell is healthy, and a cell that
+	// stopped running fails too.
+	baseline["NoDMR"] = baselineKind{Cells: map[string]cellStat{
 		primaryCell: {Median: 1624690},
 		"oltp/s12":  {Median: 4000000}, // fresh median 2000000: 50% drop
 	}}
@@ -217,21 +228,29 @@ func TestGate(t *testing.T) {
 	if len(res.Regressions) != 1 || !strings.Contains(res.Regressions[0], "NoDMR/oltp/s12") {
 		t.Fatalf("per-cell regression not flagged: %v", res.Regressions)
 	}
-	baseline["NoDMR"] = baselineKind{After: 1624690, Cells: map[string]cellStat{
+	baseline["NoDMR"] = baselineKind{Cells: map[string]cellStat{
 		"oltp/s13": {Median: 2000000},
 	}}
 	res = gate(baseline, grouped, 0.35)
 	if len(res.Regressions) != 1 || !strings.Contains(res.Regressions[0], "NoDMR/oltp/s13") {
 		t.Fatalf("missing cell not flagged: %v", res.Regressions)
 	}
+
+	// A baseline kind recorded before the multi-cell suite has no cells
+	// to gate: it fails and says how to refresh the baseline.
+	baseline["NoDMR"] = baselineKind{After: 1624690}
+	res = gate(baseline, grouped, 0.35)
+	if len(res.Regressions) != 1 || !strings.Contains(res.Regressions[0], "NoDMR") ||
+		!strings.Contains(res.Regressions[0], "-update") {
+		t.Fatalf("cell-less baseline kind not flagged with -update: %v", res.Regressions)
+	}
 }
 
 func TestBuildUpdateEntry(t *testing.T) {
-	samples, err := parseBench(strings.NewReader(benchFixture))
+	grouped, err := parseBench(strings.NewReader(benchFixture))
 	if err != nil {
 		t.Fatal(err)
 	}
-	grouped := groupCells(samples)
 	prev := baselineEntry{
 		PR: 4,
 		CyclesPerSec: map[string]baselineKind{

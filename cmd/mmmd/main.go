@@ -7,13 +7,16 @@
 //
 //	mmmd -addr :8077 -cache ./mmmd-cache
 //
-//	curl localhost:8077/catalog
-//	curl -X POST localhost:8077/campaigns \
+//	curl localhost:8077/v1/catalog
+//	curl -X POST localhost:8077/v1/campaigns \
 //	    -d '{"name":"figure5","scale":"quick"}'
-//	curl localhost:8077/campaigns/c1
-//	curl localhost:8077/campaigns/c1/results
-//	curl 'localhost:8077/campaigns/c1/results?format=csv'
-//	curl -X POST localhost:8077/campaigns/c1/cancel
+//	curl localhost:8077/v1/campaigns/c1
+//	curl localhost:8077/v1/campaigns/c1/results
+//	curl 'localhost:8077/v1/campaigns/c1/results?format=csv'
+//	curl -X POST localhost:8077/v1/campaigns/c1/cancel
+//
+// Campaign routes live under /v1; /healthz, /metrics and (with -debug)
+// /debug/pprof are unversioned infrastructure endpoints.
 //
 // With -worker, mmmd is instead one node of a simulation fleet: it
 // serves the attach endpoint and pulls jobs from any coordinator that
@@ -28,7 +31,7 @@
 // one):
 //
 //	mmmd -addr :8077 -workers node1:8078,node2:8078
-//	curl -X POST localhost:8077/campaigns \
+//	curl -X POST localhost:8077/v1/campaigns \
 //	    -d '{"name":"figure5","scale":"quick","workers":["node3:8078"]}'
 package main
 
@@ -162,11 +165,9 @@ func runWorker(ctx context.Context, addr, name string, capacity int, cache campa
 	jobSeconds, traces = js, tc
 
 	// Worker nodes expose the same observability surface as the
-	// coordinator: /metrics always, pprof only behind -debug. The
-	// protocol endpoints keep their own mux so the lease paths are
-	// untouched.
-	mux := http.NewServeMux()
-	mux.Handle("/", w.Handler())
+	// coordinator: /metrics always, pprof only behind -debug, mounted
+	// on the worker's own mux so access-log labels are its patterns.
+	mux := w.Handler()
 	mux.HandleFunc("GET /metrics", metricsHandler(reg))
 	if debug {
 		mountPprof(mux)

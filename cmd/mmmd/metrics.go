@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/api"
 	"repro/internal/campaign"
 	"repro/internal/obs"
 )
@@ -215,44 +214,30 @@ func (w *statusWriter) Flush() {
 	}
 }
 
-// routeLabel collapses a request path onto its route pattern (bounded
-// label cardinality) and extracts the campaign run id when the path
-// carries one. Versioned and legacy spellings keep their own labels —
-// the /v1 prefix stays in the pattern — so dashboards can watch
-// deprecated-path traffic drain.
-func routeLabel(path string) (pattern, runID string) {
-	parts := strings.Split(strings.Trim(path, "/"), "/")
-	prefix := ""
-	if len(parts) >= 1 && parts[0] == strings.Trim(api.PathPrefix, "/") {
-		prefix = api.PathPrefix
-		parts = parts[1:]
-	}
-	if len(parts) >= 2 && parts[0] == "campaigns" && parts[1] != "" {
-		runID = parts[1]
-		if len(parts) == 2 {
-			return prefix + "/campaigns/{id}", runID
-		}
-		return prefix + "/campaigns/{id}/" + strings.Join(parts[2:], "/"), runID
-	}
-	return path, ""
-}
-
-// accessLog wraps a handler with the service's one logging middleware:
+// accessLog wraps a mux with the service's one logging middleware:
 // every request is logged (method, path, status, latency, run id when
-// present) and counted into the registry.
-func accessLog(next http.Handler, reg *obs.Registry) http.Handler {
+// present) and counted into the registry under the route pattern the
+// mux matched, without its method ("/v1/campaigns/{id}"), so label
+// cardinality is bounded by the registered routes. A request that
+// matched no route counts as path="unmatched".
+func accessLog(mux *http.ServeMux, reg *obs.Registry) http.Handler {
 	seconds := reg.Histogram("mmmd_http_request_seconds",
 		"HTTP request latency.", nil)
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		next.ServeHTTP(sw, req)
+		_, pattern := mux.Handler(req)
+		mux.ServeHTTP(sw, req)
 		elapsed := time.Since(start)
-		pattern, runID := routeLabel(req.URL.Path)
+		if _, path, ok := strings.Cut(pattern, " "); ok {
+			pattern = path
+		} else if pattern == "" {
+			pattern = "unmatched"
+		}
 		reg.Counter("mmmd_http_requests_total", "HTTP requests by route and status.",
 			"method", req.Method, "path", pattern, "code", strconv.Itoa(sw.code)).Inc()
 		seconds.Observe(elapsed.Seconds())
-		if runID != "" {
+		if runID := req.PathValue("id"); runID != "" {
 			log.Printf("mmmd: http %s %s -> %d in %s run=%s",
 				req.Method, req.URL.Path, sw.code, elapsed.Round(time.Microsecond), runID)
 		} else {

@@ -76,48 +76,50 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestAccessLogCountsRequests: the middleware counts requests by
-// route pattern (bounded cardinality — per-run ids collapse to {id}).
+// TestAccessLogCountsRequests: the middleware counts requests by the
+// route pattern the mux matched, so label cardinality is bounded by the
+// registered routes: per-run ids collapse to {id}, and every request
+// that matched no route — unknown paths and the removed unversioned
+// spellings alike — lands in one path="unmatched" series.
 func TestAccessLogCountsRequests(t *testing.T) {
 	ts := testService(t)
 	if st := submitAndWait(t, ts, micro); st.Status != "done" {
 		t.Fatalf("campaign: %+v", st)
 	}
-	do(t, http.MethodGet, ts.URL+"/campaigns/c1/results", "")
-	do(t, http.MethodGet, ts.URL+"/campaigns/c1/events?after=999999", "")
+	for _, rt := range [][2]string{
+		{http.MethodGet, "/v1/catalog"},
+		{http.MethodGet, "/v1/status"},
+		{http.MethodGet, "/v1/campaigns"},
+		{http.MethodGet, "/v1/campaigns/c1/results"},
+		{http.MethodGet, "/v1/campaigns/c1/events?after=999999"},
+		{http.MethodPost, "/v1/campaigns/c1/cancel"},
+		{http.MethodGet, "/nope/a1b2"},
+		{http.MethodGet, "/nope/c3d4"},
+		{http.MethodGet, "/campaigns/c1"},
+	} {
+		do(t, rt[0], ts.URL+rt[1], "")
+	}
 	_, data := do(t, http.MethodGet, ts.URL+"/metrics", "")
 	for _, want := range []string{
-		`path="/campaigns/{id}"`,
-		`path="/campaigns/{id}/results"`,
-		`path="/campaigns/{id}/events"`,
-		`method="POST"`,
+		`method="GET",path="/v1/catalog"`,
+		`method="GET",path="/v1/status"`,
+		`method="POST",path="/v1/campaigns"`,
+		`method="GET",path="/v1/campaigns"`,
+		`method="GET",path="/v1/campaigns/{id}"`,
+		`method="GET",path="/v1/campaigns/{id}/results"`,
+		`method="GET",path="/v1/campaigns/{id}/events"`,
+		`method="POST",path="/v1/campaigns/{id}/cancel"`,
+		`mmmd_http_requests_total{code="404",method="GET",path="unmatched"} 3`,
 	} {
 		if !bytes.Contains(data, []byte(want)) {
 			t.Errorf("request counter missing %s:\n%s", want, data)
 		}
 	}
-	if bytes.Contains(data, []byte(`path="/campaigns/c1"`)) {
-		t.Error("raw run id leaked into the path label (unbounded cardinality)")
-	}
-}
-
-func TestRouteLabel(t *testing.T) {
-	cases := []struct {
-		path, pattern, id string
-	}{
-		{"/campaigns/c12", "/campaigns/{id}", "c12"},
-		{"/campaigns/c3/results", "/campaigns/{id}/results", "c3"},
-		{"/campaigns/c7/events", "/campaigns/{id}/events", "c7"},
-		{"/campaigns/c3/cancel", "/campaigns/{id}/cancel", "c3"},
-		{"/campaigns", "/campaigns", ""},
-		{"/status", "/status", ""},
-		{"/metrics", "/metrics", ""},
-	}
-	for _, tc := range cases {
-		pattern, id := routeLabel(tc.path)
-		if pattern != tc.pattern || id != tc.id {
-			t.Errorf("routeLabel(%q) = (%q, %q), want (%q, %q)",
-				tc.path, pattern, id, tc.pattern, tc.id)
+	for _, leak := range []string{"c1", "nope", "a1b2", "c3d4", `path="/campaigns`} {
+		for _, line := range strings.Split(string(data), "\n") {
+			if strings.HasPrefix(line, "mmmd_http_requests_total") && strings.Contains(line, leak) {
+				t.Errorf("raw path %q leaked into a label (unbounded cardinality): %s", leak, line)
+			}
 		}
 	}
 }
@@ -140,13 +142,13 @@ func TestPprofGatedBehindDebug(t *testing.T) {
 	}
 }
 
-// TestServiceStatusIncludesRuns: GET /status now carries per-run
+// TestServiceStatusIncludesRuns: GET /v1/status now carries per-run
 // progress snapshots in submission order.
 func TestServiceStatusIncludesRuns(t *testing.T) {
 	ts := testService(t)
 	first := submitAndWait(t, ts, micro)
 	second := submitAndWait(t, ts, micro)
-	_, data := do(t, http.MethodGet, ts.URL+"/status", "")
+	_, data := do(t, http.MethodGet, ts.URL+"/v1/status", "")
 	var st struct {
 		Runs []runStatus `json:"runs"`
 	}

@@ -87,7 +87,7 @@ const defaultRetainRuns = 128
 // simulations.
 type server struct {
 	cache      campaign.Cache
-	counting   *campaign.CountingCache // same cache, for /status counters; nil when caching is off
+	counting   *campaign.CountingCache // same cache, for /v1/status counters; nil when caching is off
 	parallel   int
 	fleet      []string // default worker URLs; empty = local execution
 	coordAddr  string   // job-board bind address for distributed runs
@@ -133,7 +133,7 @@ func newServer(ctx context.Context, cache campaign.Cache, parallel, maxCampaigns
 		runs:     make(map[string]*run),
 	}
 	if cache != nil {
-		// Wrap the shared cache so /status can report hit/miss/store
+		// Wrap the shared cache so /v1/status can report hit/miss/store
 		// counters across every campaign served by this process.
 		s.counting = campaign.NewCountingCache(cache)
 		s.cache = s.counting
@@ -142,51 +142,29 @@ func newServer(ctx context.Context, cache campaign.Cache, parallel, maxCampaigns
 	return s
 }
 
-// handler routes the service's endpoints. The API surface is
-// versioned: every campaign route is canonical under /v1/, and the
-// pre-versioning unversioned paths remain as thin aliases that serve
-// the same handler while marking the response deprecated (a
-// "Deprecation: true" header plus a Link to the successor route), so
-// existing clients keep working and see where to migrate.
-// /healthz and /metrics are infrastructure endpoints (probes,
-// scrapers), not API — they stay unversioned and undeprecated.
+// handler routes the service's endpoints. Every campaign route lives
+// under the API generation prefix /v1; /healthz, /metrics and (with
+// -debug) /debug/pprof are infrastructure endpoints (probes, scrapers,
+// profilers), not API, and stay unversioned.
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	mux.HandleFunc("GET /metrics", metricsHandler(s.reg))
-	for _, rt := range []struct {
-		method, path string
-		h            http.HandlerFunc
-	}{
-		{"GET", "/catalog", s.handleCatalog},
-		{"GET", "/status", s.handleServiceStatus},
-		{"POST", "/campaigns", s.handleSubmit},
-		{"GET", "/campaigns", s.handleList},
-		{"GET", "/campaigns/{id}", s.handleStatus},
-		{"GET", "/campaigns/{id}/results", s.handleResults},
-		{"GET", "/campaigns/{id}/events", s.handleEvents},
-		{"POST", "/campaigns/{id}/cancel", s.handleCancel},
-	} {
-		mux.HandleFunc(rt.method+" "+api.PathPrefix+rt.path, rt.h)
-		mux.HandleFunc(rt.method+" "+rt.path, deprecatedAlias(rt.h))
-	}
+	v1 := api.PathPrefix
+	mux.HandleFunc("GET "+v1+"/catalog", s.handleCatalog)
+	mux.HandleFunc("GET "+v1+"/status", s.handleServiceStatus)
+	mux.HandleFunc("POST "+v1+"/campaigns", s.handleSubmit)
+	mux.HandleFunc("GET "+v1+"/campaigns", s.handleList)
+	mux.HandleFunc("GET "+v1+"/campaigns/{id}", s.handleStatus)
+	mux.HandleFunc("GET "+v1+"/campaigns/{id}/results", s.handleResults)
+	mux.HandleFunc("GET "+v1+"/campaigns/{id}/events", s.handleEvents)
+	mux.HandleFunc("POST "+v1+"/campaigns/{id}/cancel", s.handleCancel)
 	if s.debug {
 		mountPprof(mux)
 	}
 	return accessLog(mux, s.reg)
-}
-
-// deprecatedAlias serves a legacy unversioned route through its
-// canonical handler, stamping the deprecation headers first.
-func deprecatedAlias(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set(api.DeprecationHeader, "true")
-		w.Header().Set("Link",
-			fmt.Sprintf("<%s%s>; rel=%q", api.PathPrefix, req.URL.Path, api.SuccessorRel))
-		h(w, req)
-	}
 }
 
 // handleCatalog reports the registered campaign names, the mode-policy
@@ -336,10 +314,7 @@ func (s *server) execute(ctx context.Context, r *run, spec campaign.Spec, fleet 
 	case s.sem <- struct{}{}:
 		defer func() { <-s.sem }()
 	case <-ctx.Done():
-		r.jnl.Finish(ctx.Err())
-		r.finish(nil, nil, ctx.Err())
-		r.attribute()
-		s.reap()
+		s.settle(r, nil, ctx.Err())
 		return
 	}
 
@@ -379,28 +354,24 @@ func (s *server) execute(ctx context.Context, r *run, spec campaign.Spec, fleet 
 		})
 	}
 	rs, err := runner.RunSpec(ctx, r.scale, spec)
-	r.jnl.Finish(err)
-	if err != nil {
-		r.finish(nil, nil, err)
-		r.attribute()
-		s.reap()
-		return
-	}
-	r.finish(rs, campaign.Summarize(rs), nil)
-	r.attribute()
-	s.reap()
+	s.settle(r, rs, err)
 }
 
-// attribute derives the run's wall-clock attribution report from its
-// journal; called once the run is terminal (the journal is closed).
-func (r *run) attribute() {
-	if r.jnl == nil {
-		return
+// settle is a run's one terminal path: it closes the journal, records
+// the outcome, derives the wall-clock attribution report from the
+// closed journal, and enforces the retention cap.
+func (s *server) settle(r *run, rs *campaign.ResultSet, err error) {
+	r.jnl.Finish(err)
+	var rows []stats.Row
+	if err == nil {
+		rows = campaign.Summarize(rs)
 	}
+	r.finish(rs, rows, err)
 	rep := campaign.Attribute(r.id, r.jnl.Events())
 	r.mu.Lock()
 	r.report = &rep
 	r.mu.Unlock()
+	s.reap()
 }
 
 // reap enforces the completed-run retention cap: when more than retain
@@ -479,18 +450,13 @@ func (s *server) lookup(w http.ResponseWriter, req *http.Request) *run {
 	return r
 }
 
-// handleServiceStatus reports service-level health: uptime, runs by
-// state, per-run progress snapshots, and the shared result cache's
-// hit/miss/store counters.
-func (s *server) handleServiceStatus(w http.ResponseWriter, _ *http.Request) {
+// runList snapshots every retained run in submission order, together
+// with the count of runs the retention cap has evicted, read under the
+// same lock.
+func (s *server) runList() ([]runStatus, uint64) {
 	s.mu.Lock()
-	byStatus := map[string]int{}
-	total := len(s.runs)
 	runs := make([]*run, 0, len(s.runs))
 	for _, r := range s.runs {
-		r.mu.Lock()
-		byStatus[r.status]++
-		r.mu.Unlock()
 		runs = append(runs, r)
 	}
 	evicted := s.evicted
@@ -500,6 +466,7 @@ func (s *server) handleServiceStatus(w http.ResponseWriter, _ *http.Request) {
 	for _, r := range runs {
 		snaps = append(snaps, r.snapshot())
 	}
+	// Submission order: ids are "c<seq>", so shorter ids sort first.
 	sort.Slice(snaps, func(i, j int) bool {
 		a, b := snaps[i].ID, snaps[j].ID
 		if len(a) != len(b) {
@@ -507,11 +474,22 @@ func (s *server) handleServiceStatus(w http.ResponseWriter, _ *http.Request) {
 		}
 		return a < b
 	})
+	return snaps, evicted
+}
 
+// handleServiceStatus reports service-level health: uptime, runs by
+// state, per-run progress snapshots, and the shared result cache's
+// hit/miss/store counters.
+func (s *server) handleServiceStatus(w http.ResponseWriter, _ *http.Request) {
+	snaps, evicted := s.runList()
+	byStatus := map[string]int{}
+	for _, st := range snaps {
+		byStatus[st.Status]++
+	}
 	out := map[string]any{
 		"status":    "ok",
 		"uptime_ms": time.Since(s.started).Milliseconds(),
-		"campaigns": map[string]any{"total": total, "by_status": byStatus, "evicted": evicted},
+		"campaigns": map[string]any{"total": len(snaps), "by_status": byStatus, "evicted": evicted},
 		"runs":      snaps,
 	}
 	if s.counting != nil {
@@ -524,25 +502,8 @@ func (s *server) handleServiceStatus(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *server) handleList(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	ids := make([]*run, 0, len(s.runs))
-	for _, r := range s.runs {
-		ids = append(ids, r)
-	}
-	s.mu.Unlock()
-	out := make([]runStatus, 0, len(ids))
-	for _, r := range ids {
-		out = append(out, r.snapshot())
-	}
-	// Submission order: ids are "c<seq>", so shorter ids sort first.
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].ID, out[j].ID
-		if len(a) != len(b) {
-			return len(a) < len(b)
-		}
-		return a < b
-	})
-	writeJSON(w, http.StatusOK, map[string]any{"campaigns": out})
+	snaps, _ := s.runList()
+	writeJSON(w, http.StatusOK, map[string]any{"campaigns": snaps})
 }
 
 func (s *server) handleStatus(w http.ResponseWriter, req *http.Request) {

@@ -1,5 +1,5 @@
 // Server-Sent Events streaming of campaign run journals:
-// GET /campaigns/{id}/events replays the journal history and then
+// GET /v1/campaigns/{id}/events replays the journal history and then
 // follows the live stream until the run reaches a terminal state.
 // Each journal event is one SSE frame — `id:` carries the journal
 // sequence number, so a dropped client reconnects with Last-Event-ID

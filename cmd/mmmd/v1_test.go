@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -27,51 +26,42 @@ func doResp(t *testing.T, method, url, body string) *http.Response {
 	return resp
 }
 
-// TestV1CanonicalAndLegacyAliases: every route serves under /v1
-// without deprecation marks, the unversioned spellings still answer —
-// bytes identical — but carry the Deprecation header and a Link to
-// their successor. Infrastructure endpoints (/healthz, /metrics) are
-// unversioned and never deprecated.
-func TestV1CanonicalAndLegacyAliases(t *testing.T) {
+// TestUnversionedCampaignRoutesGone: campaign routes are served under
+// /v1 only. Each registered route's unversioned spelling answers a
+// plain 404 with no Deprecation header, while its /v1 spelling is
+// routed; the infrastructure endpoints /healthz and /metrics stay
+// unversioned.
+func TestUnversionedCampaignRoutesGone(t *testing.T) {
 	ts := testService(t)
-
-	for _, path := range []string{"/catalog", "/campaigns"} {
-		v1 := doResp(t, http.MethodGet, ts.URL+api.PathPrefix+path, "")
-		if v1.StatusCode != http.StatusOK {
-			t.Fatalf("GET /v1%s: %d", path, v1.StatusCode)
+	for _, rt := range []struct{ method, path, body string }{
+		{http.MethodPost, "/campaigns", micro}, // the /v1 submit creates c1 for the routes below
+		{http.MethodGet, "/catalog", ""},
+		{http.MethodGet, "/status", ""},
+		{http.MethodGet, "/campaigns", ""},
+		{http.MethodGet, "/campaigns/c1", ""},
+		{http.MethodGet, "/campaigns/c1/results", ""},
+		{http.MethodPost, "/campaigns/c1/cancel", ""},
+		{http.MethodGet, "/campaigns/c1/events", ""}, // c1 is canceled, so the stream ends
+	} {
+		old := doResp(t, rt.method, ts.URL+rt.path, rt.body)
+		if old.StatusCode != http.StatusNotFound || old.Header.Get("Deprecation") != "" {
+			t.Errorf("%s %s: %d (Deprecation %q), want a plain 404",
+				rt.method, rt.path, old.StatusCode, old.Header.Get("Deprecation"))
 		}
-		if v1.Header.Get(api.DeprecationHeader) != "" {
-			t.Fatalf("canonical /v1%s marked deprecated", path)
-		}
-
-		legacy := doResp(t, http.MethodGet, ts.URL+path, "")
-		if legacy.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: %d", path, legacy.StatusCode)
-		}
-		if legacy.Header.Get(api.DeprecationHeader) != "true" {
-			t.Fatalf("legacy %s missing %s header", path, api.DeprecationHeader)
-		}
-		link := legacy.Header.Get("Link")
-		if !strings.Contains(link, api.PathPrefix+path) ||
-			!strings.Contains(link, api.SuccessorRel) {
-			t.Fatalf("legacy %s Link header %q does not name its successor", path, link)
+		if v1 := doResp(t, rt.method, ts.URL+api.PathPrefix+rt.path, rt.body); v1.StatusCode == http.StatusNotFound {
+			t.Errorf("%s %s%s: 404, want it routed", rt.method, api.PathPrefix, rt.path)
 		}
 	}
-
-	for _, path := range []string{"/healthz"} {
-		resp := doResp(t, http.MethodGet, ts.URL+path, "")
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: %d", path, resp.StatusCode)
-		}
-		if resp.Header.Get(api.DeprecationHeader) != "" {
-			t.Fatalf("infrastructure endpoint %s marked deprecated", path)
+	for _, path := range []string{"/healthz", "/metrics"} {
+		if resp := doResp(t, http.MethodGet, ts.URL+path, ""); resp.StatusCode != http.StatusOK {
+			t.Errorf("GET %s: %d, want 200", path, resp.StatusCode)
 		}
 	}
 }
 
 // TestV1ServesFullFlow drives an entire campaign lifecycle through
 // /v1 paths only: submit, status poll, results, listing, cancel of a
-// second run — no legacy spelling anywhere.
+// second run.
 func TestV1ServesFullFlow(t *testing.T) {
 	ts := testService(t)
 
@@ -101,12 +91,6 @@ func TestV1ServesFullFlow(t *testing.T) {
 	code, res := do(t, http.MethodGet, ts.URL+"/v1/campaigns/"+st.ID+"/results", "")
 	if code != http.StatusOK || !bytes.Contains(res, []byte(`"key"`)) {
 		t.Fatalf("v1 results: %d %s", code, res)
-	}
-
-	// The legacy spelling returns the same bytes, just deprecated.
-	code, legacy := do(t, http.MethodGet, ts.URL+"/campaigns/"+st.ID+"/results", "")
-	if code != http.StatusOK || !bytes.Equal(res, legacy) {
-		t.Fatalf("legacy results diverge from v1: %d", code)
 	}
 
 	code, data = do(t, http.MethodGet, ts.URL+"/v1/campaigns", "")
@@ -203,7 +187,7 @@ func TestAdaptiveSubmitRunsToCompletion(t *testing.T) {
 		`"warmup":20000,"measure":60000,"timeslice":15000,` +
 		`"workloads":["apache"],"seeds":[11],` +
 		`"precision":{"half_width":0.2,"wave_trials":2,"min_trials":2,"max_trials":6}}`
-	st := submitV1AndWait(t, ts, body)
+	st := submitAndWait(t, ts, body)
 	if st.Status != "done" {
 		t.Fatalf("adaptive run: %+v", st)
 	}
@@ -244,45 +228,14 @@ func TestAdaptiveWarmResubmitCountsCells(t *testing.T) {
 		`"warmup":20000,"measure":60000,"timeslice":15000,` +
 		`"workloads":["apache"],"seeds":[11],` +
 		`"precision":{"half_width":0.2,"wave_trials":2,"min_trials":4,"max_trials":6}}`
-	if st := submitV1AndWait(t, ts, body); st.Status != "done" || st.CacheHit != 0 {
+	if st := submitAndWait(t, ts, body); st.Status != "done" || st.CacheHit != 0 {
 		t.Fatalf("cold adaptive run: %+v", st)
 	}
-	st := submitV1AndWait(t, ts, body)
+	st := submitAndWait(t, ts, body)
 	if st.Status != "done" || st.Done != st.Jobs {
 		t.Fatalf("warm adaptive run: %+v", st)
 	}
 	if st.CacheHit != st.Jobs {
 		t.Fatalf("warm adaptive resubmit: cache_hits %d, want jobs %d", st.CacheHit, st.Jobs)
-	}
-}
-
-// submitV1AndWait mirrors submitAndWait over the versioned paths.
-func submitV1AndWait(t *testing.T, ts *httptest.Server, body string) runStatus {
-	t.Helper()
-	code, data := do(t, http.MethodPost, ts.URL+"/v1/campaigns", body)
-	if code != http.StatusAccepted {
-		t.Fatalf("v1 submit: %d %s", code, data)
-	}
-	var st runStatus
-	if err := json.Unmarshal(data, &st); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Minute)
-	for {
-		code, data = do(t, http.MethodGet, ts.URL+"/v1/campaigns/"+st.ID, "")
-		if code != http.StatusOK {
-			t.Fatalf("v1 status: %d %s", code, data)
-		}
-		if err := json.Unmarshal(data, &st); err != nil {
-			t.Fatal(err)
-		}
-		switch st.Status {
-		case "done", "failed", "canceled":
-			return st
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("campaign %s stuck in %s", st.ID, st.Status)
-		}
-		time.Sleep(20 * time.Millisecond)
 	}
 }

@@ -14,7 +14,7 @@ import (
 // Data Without Doing Anything Obviously Wrong" says a single median
 // hides. Computed purely from journal events, so it works live
 // (mmmtail -follow), post-hoc (mmmtail -report) and in GET
-// /campaigns/{id}.
+// /v1/campaigns/{id}.
 
 // The report types live in internal/api (GET /v1/campaigns/{id}
 // embeds the report and mmmtail renders it); Attribute — the journal

@@ -108,8 +108,9 @@ func NewWorker(opts WorkerOptions) *Worker {
 // lives under /v1 (protoVersion 2 coordinators post there). The
 // board's own lease endpoints are not versioned this way — they are
 // ephemeral per-campaign internals, guarded by the protocol check
-// token instead.
-func (w *Worker) Handler() http.Handler {
+// token instead. The mux is returned so a host process can mount its
+// own endpoints (metrics, profiling) beside the worker's.
+func (w *Worker) Handler() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, _ *http.Request) {
 		writeJSONTo(rw, http.StatusOK, map[string]string{"status": "ok", "worker": w.opts.Name})
