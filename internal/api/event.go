@@ -30,8 +30,10 @@ const (
 	// EventReassigned marks a lease grant that retries a previously
 	// attempted cell (always paired with an EventLeased of Attempt > 1).
 	EventReassigned EventType = "reassigned"
-	// EventCompleted marks a cell's simulation finishing, in completion
-	// order, with the attempt's wall time.
+	// EventCompleted marks one simulated job finishing — a fixed cell,
+	// or one wave of an adaptive cell — in completion order, with the
+	// worker and the attempt's wall time. It is the journal's timing
+	// record: exactly one per simulated job.
 	EventCompleted EventType = "completed"
 	// EventFailed marks a failed attempt (Cell >= 0, Error set) or —
 	// with Cell = -1 — the run failing terminally.
@@ -39,6 +41,9 @@ const (
 	// EventMerged marks a cell's result entering the deterministic
 	// merged prefix, in expansion order, carrying the full Job and
 	// Metrics payload. Exactly one per cell, Cell strictly increasing.
+	// It carries no worker or wall time (EventCompleted does); Fp is
+	// set only for a cell that ran as one job, never for an adaptive
+	// cell's wave-merged aggregate.
 	EventMerged EventType = "merged"
 	// EventCanceled marks the run canceled (Cell = -1). Terminal.
 	EventCanceled EventType = "canceled"

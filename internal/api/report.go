@@ -36,7 +36,8 @@ type GroupReport struct {
 	Max   float64 `json:"max_seconds"`
 }
 
-// CellReport is one straggler: a slowest-N simulated cell.
+// CellReport is one straggler: a slowest-N simulated job (a fixed
+// cell, or one wave of an adaptive cell).
 type CellReport struct {
 	Cell    int     `json:"cell"`
 	Key     string  `json:"key"`

@@ -321,7 +321,7 @@ func TestAdaptiveWorkerKilledMidWave(t *testing.T) {
 
 // TestAdaptiveJournalAndAttribution: an adaptive run's journal
 // validates, replays to the live result set, and attributes the
-// trials-saved-vs-fixed win.
+// trials-saved-vs-fixed win and the wall time of every wave.
 func TestAdaptiveJournalAndAttribution(t *testing.T) {
 	spec := adaptiveSpec()
 	prec := spec.Precision.Normalized()
@@ -378,6 +378,19 @@ func TestAdaptiveJournalAndAttribution(t *testing.T) {
 	if !bytes.Equal(rows, buf.Bytes()) {
 		t.Fatalf("journal replay diverges from live run:\nlive: %s\nreplay: %s", rows, buf.Bytes())
 	}
+	// Each merged event carries the cell's result as the run returned
+	// it, realized trial count included, and no fingerprint: the
+	// wave-merged aggregate never ran as one job.
+	for i := range replayed.Results {
+		if got, want := replayed.Results[i].Job, rs.Results[i].Job; got != want {
+			t.Fatalf("merged cell %d job %+v, live %+v", i, got, want)
+		}
+	}
+	for i := range events {
+		if events[i].Type == EventMerged && events[i].Fp != "" {
+			t.Fatalf("adaptive merged event carries a fingerprint: %+v", events[i])
+		}
+	}
 
 	rep := Attribute("adpt1", events)
 	if !rep.Adaptive {
@@ -403,6 +416,22 @@ func TestAdaptiveJournalAndAttribution(t *testing.T) {
 	}
 	if total != scheduled {
 		t.Fatalf("realized %d trials, journal scheduled %d", total, scheduled)
+	}
+
+	// Job time is attributed per simulated wave: every group and every
+	// straggler carries the wall time and worker of a real completion.
+	if len(rep.Groups) == 0 || len(rep.Stragglers) == 0 {
+		t.Fatalf("no groups or stragglers: %+v / %+v", rep.Groups, rep.Stragglers)
+	}
+	for _, g := range rep.Groups {
+		if g.Max <= 0 {
+			t.Fatalf("group %s attributed no job time: %+v", g.Group, g)
+		}
+	}
+	for _, c := range rep.Stragglers {
+		if c.Seconds <= 0 || c.Worker == "" {
+			t.Fatalf("straggler without time or worker: %+v", c)
+		}
 	}
 }
 

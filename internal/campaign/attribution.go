@@ -2,13 +2,14 @@ package campaign
 
 import (
 	"sort"
+	"strings"
 
 	"repro/internal/api"
 )
 
 // Wall-clock attribution over a run journal: where did the campaign's
 // time actually go? Per-worker busy seconds and utilization, the
-// cache-hit ratio, straggler cells and per-group (workload x kind)
+// cache-hit ratio, straggler jobs and per-group (workload x kind)
 // job-seconds percentiles, and the lease-churn counters
 // (reassignments, missed heartbeats) — everything "Producing Wrong
 // Data Without Doing Anything Obviously Wrong" says a single median
@@ -26,12 +27,16 @@ type (
 	Report       = api.Report
 )
 
-// maxStragglers bounds the slowest-cells list.
+// maxStragglers bounds the slowest-jobs list.
 const maxStragglers = 5
 
 // Attribute computes the wall-clock attribution report from a run's
 // journal events. Incomplete journals (a live or crashed run) are
 // fine: the report covers whatever has been journaled so far.
+//
+// Job time comes from the completed events, one per simulated job —
+// a fixed cell or one wave of an adaptive cell — so groups and
+// stragglers are counted per job, whatever the campaign's shape.
 func Attribute(runID string, events []Event) Report {
 	rep := Report{Run: runID, Outcome: "running"}
 	if len(events) == 0 {
@@ -78,9 +83,13 @@ func Attribute(runID string, events []Event) Report {
 		case EventCacheHit:
 			rep.CacheHits++
 		case EventCompleted:
+			secs := float64(ev.WallMS) / 1000
 			w := workerOf(ev.Worker)
 			w.Jobs++
-			w.BusySeconds += float64(ev.WallMS) / 1000
+			w.BusySeconds += secs
+			simulated = append(simulated, cellTime{ev.Cell, ev.Key, ev.Worker, secs})
+			g := groupOf(ev.Key)
+			groups[g] = append(groups[g], secs)
 		case EventFailed:
 			if ev.Cell >= 0 {
 				rep.Failures++
@@ -103,12 +112,6 @@ func Attribute(runID string, events []Event) Report {
 			}
 		case EventMerged:
 			rep.Merged++
-			if !ev.Hit && ev.Job != nil {
-				secs := float64(ev.WallMS) / 1000
-				simulated = append(simulated, cellTime{ev.Cell, ev.Key, ev.Worker, secs})
-				g := ev.Job.Workload + "/" + ev.Job.Kind.String()
-				groups[g] = append(groups[g], secs)
-			}
 		}
 	}
 	if rep.Cells > 0 && rep.Merged == rep.Cells && rep.Outcome == "running" {
@@ -164,7 +167,7 @@ func Attribute(runID string, events []Event) Report {
 		})
 	}
 
-	sort.Slice(simulated, func(i, k int) bool {
+	sort.SliceStable(simulated, func(i, k int) bool {
 		if simulated[i].seconds != simulated[k].seconds {
 			return simulated[i].seconds > simulated[k].seconds
 		}
@@ -178,6 +181,19 @@ func Attribute(runID string, events []Event) Report {
 			Cell: c.cell, Key: c.key, Worker: c.worker, Seconds: c.seconds})
 	}
 	return rep
+}
+
+// groupOf returns the workload/kind prefix of a job key
+// (workload/kind[/variant][/pol=policy]).
+func groupOf(key string) string {
+	i := strings.IndexByte(key, '/')
+	if i < 0 {
+		return key
+	}
+	if k := strings.IndexByte(key[i+1:], '/'); k >= 0 {
+		return key[:i+1+k]
+	}
+	return key
 }
 
 // percentile returns the nearest-rank p-th percentile of sorted

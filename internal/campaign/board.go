@@ -30,7 +30,8 @@ type board struct {
 	// fobs instruments the lease protocol; nil records nothing.
 	fobs *FleetObs
 	// jnl journals the lease lifecycle (leased, started, reassigned,
-	// heartbeat_missed, completed/failed, merged); nil records nothing.
+	// heartbeat_missed, completed/failed); nil records nothing. Merges
+	// are the scheduler's, through expand.
 	// Journal methods take only the journal's own lock, so calling them
 	// under b.mu cannot deadlock.
 	jnl *Journal
@@ -255,7 +256,7 @@ func (b *board) complete(id, fp string, m *core.Metrics, jobErr error) (string, 
 	b.completed[idx] = true
 	b.done++
 	b.workerLocked(l.worker).failures = 0
-	b.jnl.CellDone(bj.cell, bj.job, *m, false, l.worker, time.Since(l.granted), attempt)
+	b.jnl.Completed(bj.cell, bj.job, l.worker, time.Since(l.granted), attempt)
 	// Expansion must run before the done==need check: a wave completion
 	// that schedules a follow-up wave grows need in the same critical
 	// section, so the board can never close with a cell still owing

@@ -35,12 +35,6 @@ type DispatchOptions struct {
 	// LeaseTTL bounds how long a worker may go silent before its
 	// leases are revoked and reassigned; default 15s.
 	LeaseTTL time.Duration
-	// MaxInflight bounds outstanding leases across the fleet; default
-	// 4 per worker.
-	MaxInflight int
-	// MaxAttempts bounds how often one job may fail (error or lease
-	// expiry) before the campaign fails; default 3.
-	MaxAttempts int
 	// StallTimeout fails the campaign when no worker has contacted
 	// the board at all for this long — the whole fleet died or lost
 	// the network, and waiting further cannot make progress. Default
@@ -74,15 +68,6 @@ func NewDispatcher(opts DispatchOptions) *Dispatcher {
 	}
 	if opts.LeaseTTL <= 0 {
 		opts.LeaseTTL = 15 * time.Second
-	}
-	if opts.MaxInflight <= 0 {
-		opts.MaxInflight = 4 * len(opts.Workers)
-		if opts.MaxInflight < 1 {
-			opts.MaxInflight = 1
-		}
-	}
-	if opts.MaxAttempts <= 0 {
-		opts.MaxAttempts = 3
 	}
 	if opts.StallTimeout <= 0 {
 		opts.StallTimeout = 2 * time.Minute
@@ -121,10 +106,15 @@ func (d *Dispatcher) run(ctx context.Context, p *planner) (*ResultSet, error) {
 	return schedule(ctx, p, d, d.opts.Cache, d.opts.Journal, d.opts.OnProgress)
 }
 
-// board builds a fleet board: leases expire after LeaseTTL without a
-// heartbeat, and a job may fail MaxAttempts times before the run does.
+// fleetMaxAttempts bounds how often one fleet job may fail (error or
+// lease expiry) before the campaign fails.
+const fleetMaxAttempts = 3
+
+// board builds a fleet board: at most 4 outstanding leases per worker,
+// leases expire after LeaseTTL without a heartbeat, and a job may fail
+// fleetMaxAttempts times before the run does.
 func (d *Dispatcher) board(sc Scale) *board {
-	b := newBoard(sc, d.opts.LeaseTTL, d.opts.MaxInflight, d.opts.MaxAttempts, true)
+	b := newBoard(sc, d.opts.LeaseTTL, max(1, 4*len(d.opts.Workers)), fleetMaxAttempts, true)
 	b.fobs = d.opts.Obs
 	return b
 }
@@ -201,7 +191,7 @@ func attachWorker(ctx context.Context, workerURL, boardURL string) error {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := attachClient.Do(req)
+	resp, err := fleetClient.Do(req)
 	if err != nil {
 		return fmt.Errorf("campaign: attach %s: %w", workerURL, err)
 	}
@@ -216,6 +206,7 @@ func attachWorker(ctx context.Context, workerURL, boardURL string) error {
 	return nil
 }
 
-// attachClient bounds how long a dead worker can stall campaign
-// startup.
-var attachClient = &http.Client{Timeout: 10 * time.Second}
+// fleetClient carries every coordinator-worker HTTP call: attach
+// requests, and a worker's lease, heartbeat and complete calls. Its
+// timeout bounds how long a dead peer can stall either side.
+var fleetClient = &http.Client{Timeout: 10 * time.Second}

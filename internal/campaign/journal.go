@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/core"
 )
 
 // isCanceled reports whether err is (or wraps) a context cancellation
@@ -63,25 +62,24 @@ const (
 	EventCellRetired     = api.EventCellRetired
 )
 
-// stagedCell is a completed-but-not-yet-merged cell result awaiting
-// its turn in the expansion-order prefix.
+// stagedCell is a retired cell's result awaiting its turn in the
+// expansion-order prefix. fp is the cell's cache key, or "" for an
+// adaptive aggregate, which never ran as one job.
 type stagedCell struct {
-	job    Job
-	m      core.Metrics
-	hit    bool
-	worker string
-	wall   time.Duration
+	Result
+	fp string
 }
 
-// Journal is one run's event bus. Emitters (engine, dispatcher,
-// board) call the typed methods; consumers read EventsSince, which
-// the SSE endpoint turns into history-then-live streaming. A nil
-// *Journal records nothing, so every call site is unconditional.
+// Journal is one run's event bus. Emitters (scheduler, board) call
+// the typed recorders; consumers read EventsSince, which the SSE
+// endpoint turns into history-then-live streaming. A nil *Journal
+// records nothing, so every call site is unconditional.
 //
-// Merge ordering is owned here: CellDone stages out-of-order
-// completions and emits EventMerged for the contiguous expansion-order
+// Merge ordering is owned here: CellMerged stages out-of-order
+// retirements and emits EventMerged for the contiguous expansion-order
 // prefix only, so subscribers observe the deterministic row sequence
-// regardless of pool scheduling or fleet racing.
+// regardless of pool scheduling or fleet racing. The journal does not
+// know the campaign's shape: fixed and adaptive cells merge alike.
 type Journal struct {
 	runID string
 	path  string
@@ -94,15 +92,8 @@ type Journal struct {
 	wake     chan struct{}
 	closed   bool
 
-	total  int
-	scale  Scale
 	next   int // next cell index to merge
 	staged map[int]*stagedCell
-
-	// adaptive runs complete many waves per cell, so the merged prefix
-	// is fed by CellMerged instead of CellDone — one merged event per
-	// retired cell.
-	adaptive bool
 }
 
 // NewJournal opens a journal for runID. When path is non-empty the
@@ -137,6 +128,32 @@ func (j *Journal) Path() string {
 	return j.path
 }
 
+// lock is the guard every recorder shares: it takes the journal lock
+// unless the journal is nil or finished, and reports whether the
+// caller now holds it.
+func (j *Journal) lock() bool {
+	if j == nil {
+		return false
+	}
+	j.mu.Lock()
+	if j.closed {
+		j.mu.Unlock()
+		return false
+	}
+	return true
+}
+
+// emit appends events under the shared guard.
+func (j *Journal) emit(evs ...Event) {
+	if !j.lock() {
+		return
+	}
+	defer j.mu.Unlock()
+	for _, ev := range evs {
+		j.emitLocked(ev)
+	}
+}
+
 // emitLocked appends one event: stamps seq and time, persists the
 // JSONL line, and wakes every waiting subscriber. Callers hold j.mu.
 // File errors are sticky — journaling degrades to memory-only rather
@@ -159,99 +176,69 @@ func (j *Journal) emitLocked(ev Event) {
 	j.wake = make(chan struct{})
 }
 
-// Begin records the run's expansion: the first event, carrying the
-// cell count and scale.
-func (j *Journal) Begin(sc Scale, jobs []Job) {
-	j.begin(sc, len(jobs), nil)
-}
-
-// begin records a run's expansion into cells. An adaptive run (prec
-// non-nil) counts cells, not waves — wave counts are not known up
-// front, that is the point — and carries its normalized precision
-// block on the expanded event. Every cell-scoped event of a run is
-// indexed by the cell's expansion index.
+// begin records a run's expansion into cells: the first event,
+// carrying the cell count and scale. An adaptive run (prec non-nil)
+// counts cells, not waves — wave counts are not known up front, that
+// is the point — and carries its normalized precision block. Every
+// cell-scoped event of a run is indexed by the cell's expansion index.
 func (j *Journal) begin(sc Scale, cells int, prec *Precision) {
 	if j == nil {
 		return
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return
-	}
-	j.total = cells
-	j.scale = sc
-	j.adaptive = prec != nil
-	scale := sc
-	ev := Event{Type: EventExpanded, Run: j.runID, Cell: -1, Total: cells, Scale: &scale}
+	ev := Event{Type: EventExpanded, Run: j.runID, Cell: -1, Total: cells, Scale: &sc}
 	if prec != nil {
 		p := *prec
 		ev.Precision = &p
 	}
-	j.emitLocked(ev)
+	j.emit(ev)
 }
 
 // Leased records a lease grant; an Attempt above 1 additionally emits
 // EventReassigned — the board is retrying a cell whose earlier attempt
 // failed or expired.
 func (j *Journal) Leased(idx int, job Job, worker string, attempt int) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return
-	}
+	ev := Event{Type: EventLeased, Cell: idx, Key: job.Key(),
+		Worker: worker, Attempt: attempt, Wave: job.Knobs.Wave}
 	if attempt > 1 {
-		j.emitLocked(Event{Type: EventReassigned, Cell: idx, Key: job.Key(),
-			Worker: worker, Attempt: attempt, Wave: job.Knobs.Wave})
+		re := ev
+		re.Type = EventReassigned
+		j.emit(re, ev)
+		return
 	}
-	j.emitLocked(Event{Type: EventLeased, Cell: idx, Key: job.Key(),
-		Worker: worker, Attempt: attempt, Wave: job.Knobs.Wave})
+	j.emit(ev)
 }
 
 // Started records a cell beginning simulation.
 func (j *Journal) Started(idx int, job Job, worker string, attempt int) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return
-	}
-	j.emitLocked(Event{Type: EventStarted, Cell: idx, Key: job.Key(),
+	j.emit(Event{Type: EventStarted, Cell: idx, Key: job.Key(),
 		Worker: worker, Attempt: attempt, Wave: job.Knobs.Wave})
 }
 
 // HeartbeatMissed records a lease reaped after missed heartbeats.
 func (j *Journal) HeartbeatMissed(idx int, job Job, worker string, attempt int) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return
-	}
-	j.emitLocked(Event{Type: EventHeartbeatMissed, Cell: idx, Key: job.Key(),
+	j.emit(Event{Type: EventHeartbeatMissed, Cell: idx, Key: job.Key(),
 		Worker: worker, Attempt: attempt, Wave: job.Knobs.Wave})
 }
 
 // CellFailed records one failed attempt (the cell may be retried; a
 // terminal run failure is Finish's run-level EventFailed).
 func (j *Journal) CellFailed(idx int, job Job, worker string, attempt int, errMsg string) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return
-	}
-	j.emitLocked(Event{Type: EventFailed, Cell: idx, Key: job.Key(),
+	j.emit(Event{Type: EventFailed, Cell: idx, Key: job.Key(),
 		Worker: worker, Attempt: attempt, Error: errMsg, Wave: job.Knobs.Wave})
+}
+
+// Completed records one simulated job — a fixed cell or one wave of an
+// adaptive cell — finishing on worker after wall. It is the journal's
+// timing record; the board's completed map makes it exactly once per
+// job.
+func (j *Journal) Completed(idx int, job Job, worker string, wall time.Duration, attempt int) {
+	j.emit(Event{Type: EventCompleted, Cell: idx, Key: job.Key(),
+		Worker: worker, Attempt: attempt, WallMS: wall.Milliseconds(), Wave: job.Knobs.Wave})
+}
+
+// CacheHit records one job served from the result cache.
+func (j *Journal) CacheHit(idx int, job Job) {
+	j.emit(Event{Type: EventCacheHit, Cell: idx, Key: job.Key(), Hit: true, Wave: job.Knobs.Wave})
 }
 
 // WaveScheduled records the sequential-stopping planner putting one
@@ -259,15 +246,7 @@ func (j *Journal) CellFailed(idx int, job Job, worker string, attempt int, errMs
 // half-width going into the wave (1 before any trials ran — no data,
 // widest possible interval).
 func (j *Journal) WaveScheduled(cell int, job Job, half float64) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return
-	}
-	j.emitLocked(Event{Type: EventWaveScheduled, Cell: cell, Key: job.Key(),
+	j.emit(Event{Type: EventWaveScheduled, Cell: cell, Key: job.Key(),
 		Wave: job.Knobs.Wave, Trials: job.Knobs.ReliaTrials, HalfWidth: half})
 }
 
@@ -275,95 +254,30 @@ func (j *Journal) WaveScheduled(cell int, job Job, half float64) {
 // trials total trials with final half-width half; capped marks a cell
 // that hit MaxTrials instead of its target.
 func (j *Journal) CellRetired(cell int, job Job, trials int, half float64, capped bool) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return
-	}
-	j.emitLocked(Event{Type: EventCellRetired, Cell: cell, Key: job.Key(),
+	j.emit(Event{Type: EventCellRetired, Cell: cell, Key: job.Key(),
 		Trials: trials, HalfWidth: half, Capped: capped})
 }
 
-// CellMerged feeds the merged prefix of an adaptive run: one call per
-// retired cell with the cell's template job and wave-merged metrics
-// (hit reports whether every wave came from the cache). The same
-// exactly-once, expansion-order staging as fixed-batch CellDone.
-func (j *Journal) CellMerged(cell int, job Job, m core.Metrics, hit bool) {
-	if j == nil {
+// CellMerged stages a retired cell's result and advances the merged
+// prefix: every staged cell that is now contiguous from the front
+// emits its EventMerged — in expansion order, exactly once, carrying
+// the Job, Metrics and fingerprint fp — so subscribers see the
+// deterministic row sequence as it becomes available. Duplicate
+// deliveries for an already-staged or already-merged cell are dropped.
+func (j *Journal) CellMerged(cell int, res Result, fp string) {
+	if !j.lock() {
 		return
 	}
-	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.closed {
-		return
-	}
 	if cell < j.next || j.staged[cell] != nil {
 		return
 	}
-	j.staged[cell] = &stagedCell{job: job, m: m, hit: hit}
-	j.mergeReadyLocked()
-}
-
-// CellDone records a cell's result landing (EventCacheHit for cache
-// hits, EventCompleted with the attempt's wall time otherwise) and
-// advances the merged prefix: every staged cell that is now contiguous
-// from the front emits its EventMerged — in expansion order, exactly
-// once, carrying the Job, Metrics and fingerprint — so subscribers see
-// the deterministic row sequence as it becomes available. Duplicate
-// deliveries for an already-staged or already-merged cell are dropped.
-func (j *Journal) CellDone(idx int, job Job, m core.Metrics, hit bool, worker string, wall time.Duration, attempt int) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return
-	}
-	if !j.adaptive && (idx < j.next || j.staged[idx] != nil) {
-		return
-	}
-	if hit {
-		j.emitLocked(Event{Type: EventCacheHit, Cell: idx, Key: job.Key(), Hit: true,
-			Wave: job.Knobs.Wave})
-	} else {
-		j.emitLocked(Event{Type: EventCompleted, Cell: idx, Key: job.Key(),
-			Worker: worker, Attempt: attempt, WallMS: wall.Milliseconds(),
-			Wave: job.Knobs.Wave})
-	}
-	if j.adaptive {
-		// Adaptive runs complete many waves per cell: each one is
-		// recorded (the board already deduplicates deliveries per wave
-		// job), but a cell merges once, when it retires with its
-		// wave-merged aggregate — CellMerged feeds the prefix.
-		return
-	}
-	j.staged[idx] = &stagedCell{job: job, m: m, hit: hit, worker: worker, wall: wall}
-	j.mergeReadyLocked()
-}
-
-// mergeReadyLocked emits EventMerged for every staged cell that is
-// now contiguous from the front of the expansion order. An adaptive
-// cell's merged aggregate never simulated as one job, so it carries
-// no fingerprint — no single cache entry corresponds to it.
-func (j *Journal) mergeReadyLocked() {
-	for {
-		st := j.staged[j.next]
-		if st == nil {
-			return
-		}
+	j.staged[cell] = &stagedCell{Result: res, fp: fp}
+	for st := j.staged[j.next]; st != nil; st = j.staged[j.next] {
 		delete(j.staged, j.next)
-		jb, mt := st.job, st.m
-		fp := ""
-		if !j.adaptive {
-			fp = jb.Fingerprint(j.scale)
-		}
+		jb, mt := st.Job, st.Metrics
 		j.emitLocked(Event{Type: EventMerged, Cell: j.next, Key: jb.Key(),
-			Worker: st.worker, WallMS: st.wall.Milliseconds(), Hit: st.hit,
-			Fp: fp, Job: &jb, Metrics: &mt})
+			Hit: st.CacheHit, Fp: st.fp, Job: &jb, Metrics: &mt})
 		j.next++
 	}
 }
@@ -373,14 +287,10 @@ func (j *Journal) mergeReadyLocked() {
 // otherwise), then the file is closed and subscribers observe the end
 // of the stream. Idempotent; nil-safe.
 func (j *Journal) Finish(err error) {
-	if j == nil {
+	if !j.lock() {
 		return
 	}
-	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.closed {
-		return
-	}
 	if err != nil {
 		typ := EventFailed
 		if isCanceled(err) {

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/stats"
 )
@@ -22,6 +21,17 @@ func journalTypes(events []Event) map[EventType]int {
 		types[events[i].Type]++
 	}
 	return types
+}
+
+// cellDone journals one fixed cell the way the scheduler does: the
+// job's completion (or cache hit), then the cell's merge.
+func cellDone(j *Journal, idx int, job Job, hit bool, worker string, wall time.Duration, attempt int) {
+	if hit {
+		j.CacheHit(idx, job)
+	} else {
+		j.Completed(idx, job, worker, wall, attempt)
+	}
+	j.CellMerged(idx, Result{Job: job, CacheHit: hit}, job.Fingerprint(microScale()))
 }
 
 // TestJournalMergePrefixOrdering: completions delivered wildly out of
@@ -36,11 +46,11 @@ func TestJournalMergePrefixOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Begin(microScale(), jobs)
+	j.begin(microScale(), len(jobs), nil)
 
 	// Complete the last cell first: nothing merges yet.
 	last := len(jobs) - 1
-	j.CellDone(last, jobs[last], core.Metrics{}, false, "w9", time.Second, 1)
+	cellDone(j, last, jobs[last], false, "w9", time.Second, 1)
 	if types := journalTypes(j.Events()); types[EventMerged] != 0 {
 		t.Fatalf("out-of-order completion merged early: %v", types)
 	}
@@ -48,10 +58,10 @@ func TestJournalMergePrefixOrdering(t *testing.T) {
 	// Deliver the rest back to front: the final delivery (cell 0)
 	// releases the whole prefix at once.
 	for i := last - 1; i >= 0; i-- {
-		j.CellDone(i, jobs[i], core.Metrics{}, false, "w1", time.Second, 1)
+		cellDone(j, i, jobs[i], false, "w1", time.Second, 1)
 	}
-	// Duplicate deliveries — a raced late completion — must be dropped.
-	j.CellDone(0, jobs[0], core.Metrics{}, false, "dup", time.Second, 2)
+	// Duplicate deliveries — a raced late retirement — must be dropped.
+	j.CellMerged(0, Result{Job: jobs[0]}, jobs[0].Fingerprint(microScale()))
 	j.Finish(nil)
 
 	events := j.Events()
@@ -91,8 +101,8 @@ func TestJournalEventsSince(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Begin(microScale(), jobs)
-	j.CellDone(0, jobs[0], core.Metrics{}, true, "", 0, 0)
+	j.begin(microScale(), len(jobs), nil)
+	cellDone(j, 0, jobs[0], true, "", 0, 0)
 
 	history, wake, closed := j.EventsSince(0)
 	if closed || len(history) < 3 { // expanded, cache_hit, merged
@@ -245,7 +255,7 @@ func TestJournalFinishOutcomes(t *testing.T) {
 	jobs := determinismJobs(t)
 
 	j1, _ := NewJournal("x", "")
-	j1.Begin(microScale(), jobs)
+	j1.begin(microScale(), len(jobs), nil)
 	j1.Finish(fmt.Errorf("wrapped: %w", context.Canceled))
 	chk, err := ValidateEvents(j1.Events())
 	if err != nil || chk.Outcome != "canceled" {
@@ -253,7 +263,7 @@ func TestJournalFinishOutcomes(t *testing.T) {
 	}
 
 	j2, _ := NewJournal("x", "")
-	j2.Begin(microScale(), jobs)
+	j2.begin(microScale(), len(jobs), nil)
 	j2.Finish(errors.New("sim exploded"))
 	chk, err = ValidateEvents(j2.Events())
 	if err != nil || chk.Outcome != "failed" {
@@ -283,9 +293,9 @@ func TestValidateEventsRejectsCorruption(t *testing.T) {
 	jobs := determinismJobs(t)
 	good := func() []Event {
 		j, _ := NewJournal("v", "")
-		j.Begin(microScale(), jobs)
+		j.begin(microScale(), len(jobs), nil)
 		for i := range jobs {
-			j.CellDone(i, jobs[i], core.Metrics{}, false, "w", time.Second, 1)
+			cellDone(j, i, jobs[i], false, "w", time.Second, 1)
 		}
 		j.Finish(nil)
 		return j.Events()
@@ -330,7 +340,7 @@ func TestValidateEventsRejectsCorruption(t *testing.T) {
 
 	// Events after a terminal run-level event.
 	j, _ := NewJournal("v", "")
-	j.Begin(microScale(), jobs)
+	j.begin(microScale(), len(jobs), nil)
 	j.Finish(errors.New("boom"))
 	events = j.Events()
 	events = append(events, Event{Seq: events[len(events)-1].Seq + 1,
@@ -342,7 +352,7 @@ func TestValidateEventsRejectsCorruption(t *testing.T) {
 	// Cell index out of range.
 	events = good()
 	j2, _ := NewJournal("v", "")
-	j2.Begin(microScale(), jobs[:1])
+	j2.begin(microScale(), 1, nil)
 	j2.Started(5, jobs[0], "w", 1)
 	if _, err := ValidateEvents(j2.Events()); err == nil {
 		t.Error("out-of-range cell accepted")
@@ -361,12 +371,16 @@ func TestValidateEventsRejectsCorruption(t *testing.T) {
 func TestJournalNilSafe(t *testing.T) {
 	var j *Journal
 	jobs := determinismJobs(t)
-	j.Begin(microScale(), jobs)
+	j.begin(microScale(), len(jobs), nil)
 	j.Leased(0, jobs[0], "w", 1)
 	j.Started(0, jobs[0], "w", 1)
 	j.HeartbeatMissed(0, jobs[0], "w", 1)
 	j.CellFailed(0, jobs[0], "w", 1, "x")
-	j.CellDone(0, jobs[0], core.Metrics{}, false, "w", 0, 1)
+	j.Completed(0, jobs[0], "w", 0, 1)
+	j.CacheHit(0, jobs[0])
+	j.WaveScheduled(0, jobs[0], 1)
+	j.CellRetired(0, jobs[0], 1, 0, false)
+	j.CellMerged(0, Result{Job: jobs[0]}, "")
 	j.Finish(nil)
 	if j.Events() != nil || j.Path() != "" || j.Err() != nil {
 		t.Fatal("nil journal returned state")
@@ -387,16 +401,16 @@ func TestAttributeReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Begin(microScale(), jobs)
+	j.begin(microScale(), len(jobs), nil)
 	// Cell 0 from cache; the rest simulated across two workers, one
 	// slow straggler, one reassignment after a missed heartbeat.
-	j.CellDone(0, jobs[0], core.Metrics{}, true, "", 0, 0)
+	cellDone(j, 0, jobs[0], true, "", 0, 0)
 	j.Leased(1, jobs[1], "w1", 1)
 	j.Started(1, jobs[1], "w1", 1)
 	j.HeartbeatMissed(1, jobs[1], "w1", 1)
 	j.Leased(1, jobs[1], "w2", 2)
 	j.Started(1, jobs[1], "w2", 2)
-	j.CellDone(1, jobs[1], core.Metrics{}, false, "w2", 8*time.Second, 2)
+	cellDone(j, 1, jobs[1], false, "w2", 8*time.Second, 2)
 	for i := 2; i < len(jobs); i++ {
 		w := "w1"
 		if i%2 == 0 {
@@ -404,7 +418,7 @@ func TestAttributeReport(t *testing.T) {
 		}
 		j.Leased(i, jobs[i], w, 1)
 		j.Started(i, jobs[i], w, 1)
-		j.CellDone(i, jobs[i], core.Metrics{}, false, w, 2*time.Second, 1)
+		cellDone(j, i, jobs[i], false, w, 2*time.Second, 1)
 	}
 	j.Finish(nil)
 
@@ -645,6 +659,11 @@ func TestJournalExactlyOnceUnderWorkerDeath(t *testing.T) {
 	types := journalTypes(events)
 	if types[EventMerged] != len(jobs) {
 		t.Fatalf("merged %d events for %d cells", types[EventMerged], len(jobs))
+	}
+	// The board's completed map is the exactly-once guard for
+	// completions: a late result from a reaped lease is never journaled.
+	if types[EventCompleted] != len(jobs) {
+		t.Fatalf("completed %d events for %d jobs", types[EventCompleted], len(jobs))
 	}
 	for i := range events {
 		if events[i].Type == EventCompleted && events[i].Worker == "" {

@@ -26,7 +26,7 @@ import (
 // Worker endpoints (served by mmmd -worker, called by coordinators):
 //
 //	POST /v1/attach -> attachResponse | 409 (incompatible build)
-//	GET  /healthz, GET /status
+//	GET  /healthz
 //
 // protoVersion gates the wire format; protocolCheck() additionally
 // folds in the simulator's SpecVersion and RNG stream digest so two

@@ -348,7 +348,7 @@ func TestBoardLeaseProtocol(t *testing.T) {
 		t.Fatalf("second lease: %d", code)
 	}
 	if code, _ = postJSON(t, ts.URL+"/lease", leaseRequest{Worker: "w1", Check: protocolCheck()}); code != http.StatusNoContent {
-		t.Fatalf("lease beyond MaxInflight: %d, want 204", code)
+		t.Fatalf("lease beyond the in-flight cap: %d, want 204", code)
 	}
 
 	// Heartbeat keeps a live lease; after close both heartbeat and

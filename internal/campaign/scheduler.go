@@ -370,7 +370,7 @@ func (s *scheduler) frontier(todo []boardJob) ([]boardJob, error) {
 		}
 		if s.cache != nil {
 			if m, ok := s.cache.Get(bj.fp); ok {
-				s.jnl.CellDone(bj.cell, bj.job, m, true, "", 0, 0)
+				s.jnl.CacheHit(bj.cell, bj.job)
 				next, err := s.complete(bj, m, true)
 				if err != nil {
 					return nil, err
@@ -407,11 +407,14 @@ func (s *scheduler) complete(bj boardJob, m core.Metrics, hit bool) ([]boardJob,
 		return []boardJob{{job: next, cell: bj.cell}}, nil
 	}
 	c := p.cells[bj.cell]
+	fp := bj.fp
 	if p.prec != nil {
-		res := p.mergedResult(c)
+		// An adaptive aggregate never ran as one job: no single cache
+		// entry corresponds to it.
+		fp = ""
 		s.jnl.CellRetired(bj.cell, c.template, c.trials, c.half, c.capped)
-		s.jnl.CellMerged(bj.cell, c.template, res.Metrics, res.CacheHit)
 	}
+	s.jnl.CellMerged(bj.cell, p.mergedResult(c), fp)
 	s.retired++
 	if c.hits == c.waves {
 		s.hits++

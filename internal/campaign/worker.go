@@ -29,9 +29,6 @@ type WorkerOptions struct {
 	Cache Cache
 	// Poll is the idle lease-poll interval; default 250ms.
 	Poll time.Duration
-	// Client performs the worker's HTTP calls; default a client with
-	// a 10s timeout.
-	Client *http.Client
 	// OnJobTime, when non-nil, is called with each simulated leased
 	// job's wall time (local cache hits excluded). It runs on pull
 	// goroutines and must be concurrency-safe.
@@ -84,9 +81,6 @@ func NewWorker(opts WorkerOptions) *Worker {
 	if opts.Poll <= 0 {
 		opts.Poll = 250 * time.Millisecond
 	}
-	if opts.Client == nil {
-		opts.Client = &http.Client{Timeout: 10 * time.Second}
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Worker{
 		opts: opts,
@@ -115,26 +109,8 @@ func (w *Worker) Handler() *http.ServeMux {
 	mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, _ *http.Request) {
 		writeJSONTo(rw, http.StatusOK, map[string]string{"status": "ok", "worker": w.opts.Name})
 	})
-	mux.HandleFunc("GET /status", w.handleStatus)
 	mux.HandleFunc("POST "+api.PathPrefix+"/attach", w.handleAttach)
 	return mux
-}
-
-func (w *Worker) handleStatus(rw http.ResponseWriter, _ *http.Request) {
-	w.mu.Lock()
-	attached := len(w.attachments)
-	w.mu.Unlock()
-	writeJSONTo(rw, http.StatusOK, map[string]any{
-		"worker":        w.opts.Name,
-		"capacity":      w.opts.Capacity,
-		"check":         w.check,
-		"attachments":   attached,
-		"attach_total":  w.attachTotal.Load(),
-		"jobs_done":     w.jobsDone.Load(),
-		"jobs_failed":   w.jobsFailed.Load(),
-		"leases_lost":   w.leasesLost.Load(),
-		"in_flight_max": cap(w.slots),
-	})
 }
 
 // WorkerStats is a point-in-time snapshot of a worker's counters, for
@@ -408,7 +384,7 @@ func (w *Worker) post(ctx context.Context, url string, in, out any) (int, error)
 		return 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := w.opts.Client.Do(req)
+	resp, err := fleetClient.Do(req)
 	if err != nil {
 		return 0, err
 	}
