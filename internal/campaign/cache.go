@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -13,15 +14,21 @@ import (
 
 // Cache stores completed job results keyed by content fingerprint
 // (Job.Fingerprint). Implementations must be safe for concurrent use.
+//
+// A returned Metrics may share its maps and Relia batch with the value
+// that was stored and with every other Get of the same key: callers
+// must treat it as read-only.
 type Cache interface {
-	// Get returns the cached metrics for key, if present.
+	// Get returns the cached metrics for key, if present. The result is
+	// shared; do not mutate it.
 	Get(key string) (core.Metrics, bool)
 	// Put stores the metrics for key.
 	Put(key string, m core.Metrics) error
 }
 
-// MemCache is an in-process Cache, useful for sharing simulation work
-// inside one process (tests, the mmmd service's hot set).
+// MemCache is an unbounded in-process Cache, useful for sharing
+// simulation work inside one process (tests, examples). Services keep
+// results across restarts with DiskCache instead.
 type MemCache struct {
 	mu sync.RWMutex
 	m  map[string]core.Metrics
@@ -88,14 +95,33 @@ func (c *CountingCache) Stats() (hits, misses, puts uint64) {
 	return c.hits.Load(), c.misses.Load(), c.puts.Load()
 }
 
+// tierCap bounds DiskCache's in-process tier. An entry costs about
+// 1.3 KB of heap, so a full tier holds about 5.5 MB.
+const tierCap = 4096
+
 // DiskCache is a content-addressed on-disk Cache: each result lives at
 // <dir>/<fp[:2]>/<fp>.json. Interrupted campaigns resume for free — on
 // the next run every already-completed job is a cache hit — and
 // overlapping campaigns share each other's work. Writes go through a
 // temp file plus rename so concurrent writers and readers never see a
 // torn entry.
+//
+// In front of the files sits a bounded in-process tier of decoded
+// results, so a long-lived instance (mmmd, a benchmark resubmitting to
+// one cache) decodes each entry at most once. A successful Put adds the
+// decoded form of the bytes it wrote, after the rename; a Get that
+// reads an entry from disk adds what it decoded; missing and corrupt
+// entries are never added. When the tier holds tierCap entries it is
+// cleared before the next insert, so its worst case is the plain disk
+// path. Keys are content-addressed, so a key's value never changes
+// within one build; but an entry file deleted after this instance read
+// or wrote it is still served until the tier clears.
 type DiskCache struct {
 	dir string
+
+	mu      sync.RWMutex
+	tier    map[string]core.Metrics
+	tierMax int // tierCap; lowered only by tests
 }
 
 // NewDiskCache opens (creating if needed) a disk cache rooted at dir.
@@ -103,7 +129,7 @@ func NewDiskCache(dir string) (*DiskCache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("campaign: cache dir: %w", err)
 	}
-	return &DiskCache{dir: dir}, nil
+	return &DiskCache{dir: dir, tier: make(map[string]core.Metrics), tierMax: tierCap}, nil
 }
 
 // Dir returns the cache root.
@@ -116,17 +142,36 @@ func (c *DiskCache) path(key string) string {
 	return filepath.Join(c.dir, key[:2], key+".json")
 }
 
+// remember adds a decoded result to the tier, clearing the tier first
+// when it is full.
+func (c *DiskCache) remember(key string, m core.Metrics) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.tier[key]; !ok && len(c.tier) >= c.tierMax {
+		clear(c.tier)
+	}
+	c.tier[key] = m
+}
+
 // Get implements Cache.
 func (c *DiskCache) Get(key string) (core.Metrics, bool) {
-	var m core.Metrics
+	c.mu.RLock()
+	m, ok := c.tier[key]
+	c.mu.RUnlock()
+	if ok {
+		return m, true
+	}
 	data, err := os.ReadFile(c.path(key))
 	if err != nil {
-		return m, false
-	}
-	if err := json.Unmarshal(data, &m); err != nil {
-		// A corrupt entry is treated as a miss; the rerun overwrites it.
 		return core.Metrics{}, false
 	}
+	// Put only ever writes a JSON object; anything else (a corrupt,
+	// truncated or foreign file, or a bare null) is a miss, and the
+	// rerun overwrites it.
+	if !bytes.HasPrefix(data, []byte("{")) || json.Unmarshal(data, &m) != nil {
+		return core.Metrics{}, false
+	}
+	c.remember(key, m)
 	return m, true
 }
 
@@ -153,5 +198,16 @@ func (c *DiskCache) Put(key string, m core.Metrics) error {
 		os.Remove(tmp.Name())
 		return err
 	}
-	return os.Rename(tmp.Name(), p)
+	if err := os.Rename(tmp.Name(), p); err != nil {
+		return err
+	}
+	// The tier holds what the file decodes to, not m itself: a hit is
+	// then exactly what a fresh instance reads (empty maps under
+	// omitempty come back nil), and never aliases the caller's value.
+	var stored core.Metrics
+	if err := json.Unmarshal(data, &stored); err != nil {
+		return err
+	}
+	c.remember(key, stored)
+	return nil
 }

@@ -177,10 +177,8 @@ func TestEngineProgressCallback(t *testing.T) {
 }
 
 func TestDiskCacheRoundTrip(t *testing.T) {
-	c, err := NewDiskCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir := t.TempDir()
+	c := mustDiskCache(t, dir)
 	if _, ok := c.Get("deadbeef"); ok {
 		t.Fatal("empty cache reported a hit")
 	}
@@ -196,13 +194,16 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	if err := c.Put("deadbeef", m); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := c.Get("deadbeef")
-	if !ok {
-		t.Fatal("stored entry not found")
-	}
-	if got.Cycles != m.Cycles || got.GuestUser["perf"] != 42 ||
-		got.GuestVCPUs["reliable"] != 8 || got.EnterAvg != 2200.5 {
-		t.Fatalf("round trip mangled metrics: %+v", got)
+	// The writing instance serves from its tier, a fresh one from disk.
+	for _, c := range []*DiskCache{c, mustDiskCache(t, dir)} {
+		got, ok := c.Get("deadbeef")
+		if !ok {
+			t.Fatal("stored entry not found")
+		}
+		if got.Cycles != m.Cycles || got.GuestUser["perf"] != 42 ||
+			got.GuestVCPUs["reliable"] != 8 || got.EnterAvg != 2200.5 {
+			t.Fatalf("round trip mangled metrics: %+v", got)
+		}
 	}
 }
 

@@ -167,6 +167,7 @@ type Core struct {
 	sleepWF    uint64 // per-cycle WindowFullCycles while asleep (0/1)
 	sleepSS    uint64 // per-cycle StoreCommitStall while asleep (0/1)
 	sleepCW    uint64 // per-cycle CheckWaitCycles while asleep (0/1)
+	sleepFC    uint64 // per-cycle FingerprintChecks while asleep (0/1)
 	// sleepCredit marks a CheckWaitRelease sleep: each slept cycle also
 	// owes the gate one CommitReady poll's counter increments, settled
 	// in bulk (sleepOwed → gateSleeper.CreditWait) when the sleep ends.
@@ -409,6 +410,7 @@ func (c *Core) Tick(now sim.Cycle) {
 		c.C.WindowFullCycles += c.sleepWF
 		c.C.StoreCommitStall += c.sleepSS
 		c.C.CheckWaitCycles += c.sleepCW
+		c.C.FingerprintChecks += c.sleepFC
 		if c.sleepCredit {
 			c.sleepOwed++
 		}
@@ -438,14 +440,16 @@ func (c *Core) Tick(now sim.Cycle) {
 // stage is provably inert for a span of cycles, arms the Tick-level
 // sleep for that span. "Inert" means the stage takes the same early
 // exit on every cycle of the span, mutating nothing but its stall
-// counter: commit blocked on the head's known completion (or on an
-// unissued head that the sleeping issue scan cannot execute), issue
-// asleep on issueWakeAt, and fetch stalled on a hold, a known block
-// cycle, in-flight serializers, or a full window/load-store queue.
-// Cases whose next state transition depends on the DMR partner (Check
-// stage waits) or mutates state per cycle (TSO buffer drain) never
-// sleep. External events that could wake a stage early (Resume,
-// BlockUntil, Squash, source/gate changes) clear sleepUntil.
+// counters: commit blocked on the head's known completion (or on an
+// unissued head that the sleeping issue scan cannot execute), on a
+// Check-stage wait the gate can classify (gateSleeper), or on an SC
+// store's write-through — also once the store has passed its check —
+// issue asleep on issueWakeAt, and fetch stalled on a hold, a known
+// block cycle, in-flight serializers, or a full window/load-store
+// queue. Waits the gate cannot classify and the TSO buffer drain,
+// which mutates state per cycle, never sleep. External events that
+// could wake a stage early (Resume, BlockUntil, Squash, source/gate
+// changes, the gate's WakeCheck) clear sleepUntil.
 func (c *Core) armSleep(now sim.Cycle) {
 	if c.count == 0 {
 		// Either fetch is progressing (no sleep) or the window is empty
@@ -453,7 +457,7 @@ func (c *Core) armSleep(now sim.Cycle) {
 		return
 	}
 	wake := readyUnknown
-	var fs, si, wf, ss, cw uint64
+	var fs, si, wf, ss, cw, fc uint64
 	credit := false
 	// waker records that an external event is guaranteed to end the
 	// sleep (the gate's wake on partner completion), which permits
@@ -480,6 +484,17 @@ func (c *Core) armSleep(now sim.Cycle) {
 			cw = 1
 			waker = true
 		case CheckWaitRelease:
+			if at <= now && e.inst.Class == isa.Store && !c.cfg.TSO &&
+				e.storeIssued && e.storeDone > now {
+				// The check already passed; the head is an SC store
+				// waiting on its write-through. Each cycle until
+				// storeDone repeats the poll (credited), passes the
+				// check and stalls on the store.
+				wake = e.storeDone
+				ss, fc = 1, 1
+				credit = true
+				break
+			}
 			if at <= now+1 {
 				return
 			}
@@ -538,7 +553,7 @@ func (c *Core) armSleep(now sim.Cycle) {
 	}
 	c.sleepUntil = wake
 	c.sleepFS, c.sleepSI, c.sleepWF, c.sleepSS = fs, si, wf, ss
-	c.sleepCW = cw
+	c.sleepCW, c.sleepFC = cw, fc
 	c.sleepCredit = credit
 }
 
