@@ -1,36 +1,37 @@
-// Command benchgate is the CI bench regression gate: it parses `go
-// test -bench` output for BenchmarkHotPath, takes the median of the
-// reported cycles/sec metric across repeated runs for every
-// kind×workload×seed cell, compares each cell the latest entry of
-// BENCH_hotpath.json records against its fresh median, and fails
-// (exit 1) when any cell regressed past the tolerance. The fresh
-// numbers are written as JSON so CI can upload them as a build
-// artifact and a human can refresh the baseline from them.
+// Command benchgate is the CI bench regression gate, a same-box A/B:
+// it reads two `go test -bench=BenchmarkHotPath` outputs taken in one
+// CI job on one machine — -base from the merge-base build, -head from
+// HEAD — and fails (exit 1) when HEAD simulates slower on some system
+// kind.
 //
-//	go test -run=NONE -bench='BenchmarkHotPath$' -benchtime=1s -count=3 . | tee bench.txt
-//	benchgate -baseline BENCH_hotpath.json -bench bench.txt -tolerance 0.20 -out bench-fresh.json
+// For each kind, every kind×workload×seed cell's cycles/sec samples on
+// both sides are divided by that cell's base median, so fast and slow
+// cells pool into one dimensionless sample per side, and a one-sided
+// Mann-Whitney U test asks whether HEAD's ratios run lower than base's.
+// A kind fails only when that p-value is below alpha AND the median of
+// its per-cell HEAD/base median ratios is below floor: significance
+// alone would fail a 1% slowdown measured precisely, and the ratio
+// alone would fail noise. Only ratios enter the verdict, so it is the
+// same on a slow box and a fast one, where a stored absolute baseline
+// recorded on another machine is not. A kind or cell the base ran and
+// HEAD did not fails; a kind only HEAD ran is reported and not gated.
+// The test needs about five samples per side to reach alpha, so a
+// kind with fewer cells×rounds cannot fail on significance.
 //
-// The tolerance still absorbs run-to-run noise — CI hardware is noisy
-// and slower than the recorded machine — but with per-cell medians and
-// each cell's coefficient of variation recorded next to them, a wide
-// spread is distinguishable from a shifted median, so the gate can
-// afford 20% (down from the original 35%): it catches a lost fast path
-// or an accidentally quadratic hot loop without tripping on jitter.
+// CI builds both test binaries with `go test -c`, runs each once per
+// round for three rounds, alternating which goes first so drift on the
+// box hits both sides alike, and appends each side's output to its
+// file (see the bench-gate job in .github/workflows/ci.yml):
 //
-// With -update, benchgate instead *appends* a fresh baseline entry to
-// the file from the same bench output — per-kind medians become the
-// "after" numbers, the previous entry's "after" numbers become
-// "before" for kinds both entries share — so adding a new bench kind
-// (which the gate would otherwise only ever fail as missing) is a
-// one-command baseline refresh:
+//	./base.test -test.run='^$' -test.bench=BenchmarkHotPath -test.benchtime=0.5s >>base.txt
+//	./head.test -test.run='^$' -test.bench=BenchmarkHotPath -test.benchtime=0.5s >>head.txt
+//	benchgate -base base.txt -head head.txt -out bench-verdict.json
 //
-//	go test -run=NONE -bench='BenchmarkHotPath$' -benchtime=1s -count=3 . | \
-//	    benchgate -update -pr 5 -change "mode-policy layer" -baseline BENCH_hotpath.json
+// BENCH_hotpath.json is frozen history of the absolute numbers earlier
+// changes recorded; nothing reads it.
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -40,37 +41,18 @@ import (
 	"regexp"
 	"sort"
 	"strconv"
-	"time"
+	"strings"
+
+	"repro/internal/stats"
 )
 
-// baselineFile mirrors the BENCH_hotpath.json schema. The header
-// fields ride along so -update rewrites the file without dropping
-// them; entries stay raw so historical records round-trip untouched.
-type baselineFile struct {
-	Comment   string            `json:"comment,omitempty"`
-	Benchmark string            `json:"benchmark"`
-	Metric    string            `json:"metric"`
-	Benchtime string            `json:"benchtime,omitempty"`
-	Workload  string            `json:"workload,omitempty"`
-	Seed      int               `json:"seed,omitempty"`
-	CPU       string            `json:"cpu,omitempty"`
-	Entries   []json.RawMessage `json:"entries"`
-}
-
-// latestEntry decodes the gate-relevant view of the newest entry.
-func (bf *baselineFile) latestEntry() (baselineEntry, error) {
-	var e baselineEntry
-	if len(bf.Entries) == 0 {
-		return e, fmt.Errorf("baseline has no entries")
-	}
-	err := json.Unmarshal(bf.Entries[len(bf.Entries)-1], &e)
-	return e, err
-}
-
-type baselineEntry struct {
-	PR           int                     `json:"pr"`
-	CyclesPerSec map[string]baselineKind `json:"cycles_per_sec"`
-}
+const (
+	// alpha is the significance level of the one-sided rank test.
+	alpha = 0.01
+	// floor is the median HEAD/base ratio a kind must fall below, on
+	// top of significance, to fail.
+	floor = 0.95
+)
 
 // cellStat is the min/median/max of one workload×seed cell's samples,
 // with the coefficient of variation (stddev/mean) quantifying the
@@ -88,57 +70,66 @@ func cellStatOf(samples []float64) cellStat {
 	return cellStat{Median: median(samples), Min: lo, Max: hi, CV: cv(samples)}
 }
 
-type baselineKind struct {
-	After float64 `json:"after"`
-	// Cells records the per-workload×seed medians the gate checks
-	// (entries appended before the multi-cell suite lack it and cannot
-	// be gated against).
-	Cells map[string]cellStat `json:"cells,omitempty"`
-}
+// benchPrefix starts every line that reports a BenchmarkHotPath cell.
+const benchPrefix = "BenchmarkHotPath/"
 
-// primaryCell is the workload/seed cell every kind benches: its median
-// is a kind's headline "after" number in appended entries and in the
-// gate's report.
-const primaryCell = "apache/s11"
+// cellName is the sub-benchmark name form <kind>/<workload>/s<seed>,
+// optionally followed by go test's -N GOMAXPROCS suffix (omitted when
+// GOMAXPROCS=1).
+var cellName = regexp.MustCompile(`^([^/]+)/([^/]+/s[0-9]+)(?:-[0-9]+)?$`)
 
-// benchLine matches one sub-benchmark result line, e.g.
+// parseBench collects every BenchmarkHotPath cell's cycles/sec samples
+// from go test -bench output (repeated runs, whether by -count or by
+// appending rounds, yield repeated samples), indexed by kind, then
+// workload×seed cell. Every line whose first field starts with
+// BenchmarkHotPath/ must name a cell, e.g.
 //
 //	BenchmarkHotPath/MMM-IPC/apache/s11-4   123   9270000 ns/op   944490 cycles/sec
 //
-// capturing the full sub-benchmark name ("MMM-IPC/apache/s11"; the
-// trailing -N is the GOMAXPROCS suffix, omitted when GOMAXPROCS=1) and
-// the cycles/sec value.
-var benchLine = regexp.MustCompile(`^BenchmarkHotPath/(.+?)(?:-\d+)?\s+.*?([0-9.e+]+) cycles/sec`)
-
-// cellName is the sub-benchmark name form: <kind>/<workload>/s<seed>.
-var cellName = regexp.MustCompile(`^([^/]+)/([^/]+/s[0-9]+)$`)
-
-// parseBench collects every sub-benchmark's cycles/sec samples from go
-// test -bench output (repeated runs via -count yield repeated samples),
-// indexed by kind, then workload×seed cell. A BenchmarkHotPath line
-// that names no cell is an error: its samples cannot be gated.
+// or parseBench fails: its samples could not be gated. A cell line adds
+// a sample when a finite positive number precedes its first
+// "cycles/sec" field; a line without one (cut off, or a malformed
+// number) adds none, and a base cell left with no HEAD samples fails
+// the gate as missing.
 func parseBench(r io.Reader) (map[string]map[string][]float64, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
 	out := make(map[string]map[string][]float64)
-	sc := bufio.NewScanner(r)
-	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(sc.Text())
-		if m == nil {
+	for _, line := range strings.Split(string(data), "\n") {
+		f := strings.Fields(line)
+		if len(f) == 0 || !strings.HasPrefix(f[0], benchPrefix) {
 			continue
 		}
-		k, c, ok := splitCell(m[1])
+		name := strings.TrimPrefix(f[0], benchPrefix)
+		k, c, ok := splitCell(name)
 		if !ok {
-			return nil, fmt.Errorf("benchgate: %q names no cell, want BenchmarkHotPath/<kind>/<workload>/s<seed>", m[1])
+			return nil, fmt.Errorf("benchgate: %q names no cell, want BenchmarkHotPath/<kind>/<workload>/s<seed>", name)
 		}
-		v, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("benchgate: bad cycles/sec in %q: %w", sc.Text(), err)
+		v, ok := cyclesPerSec(f)
+		if !ok {
+			continue
 		}
 		if out[k] == nil {
 			out[k] = make(map[string][]float64)
 		}
 		out[k][c] = append(out[k][c], v)
 	}
-	return out, sc.Err()
+	return out, nil
+}
+
+// cyclesPerSec reads the value before a result line's first
+// "cycles/sec" field; ok is false unless it is a finite positive
+// number.
+func cyclesPerSec(fields []string) (float64, bool) {
+	for i := 1; i < len(fields); i++ {
+		if fields[i] == "cycles/sec" {
+			v, err := strconv.ParseFloat(fields[i-1], 64)
+			return v, err == nil && v > 0 && !math.IsInf(v, 1)
+		}
+	}
+	return 0, false
 }
 
 // splitCell splits a sub-benchmark name into system kind and
@@ -158,9 +149,8 @@ func median(samples []float64) float64 {
 	return s[(len(s)-1)/2]
 }
 
-// spread returns the min and max samples — the per-kind run-to-run
-// spread recorded next to the median, so a noisy box (wide spread) is
-// distinguishable from a real regression (shifted median).
+// spread returns the min and max samples — the run-to-run spread
+// reported next to the median.
 func spread(samples []float64) (min, max float64) {
 	min, max = samples[0], samples[0]
 	for _, v := range samples[1:] {
@@ -175,9 +165,9 @@ func spread(samples []float64) (min, max float64) {
 }
 
 // cv returns the coefficient of variation (population stddev divided by
-// mean) of the samples — the dimensionless noise figure recorded next
+// mean) of the samples — the dimensionless noise figure reported next
 // to every median. Zero for fewer than two samples or a non-positive
-// mean. Rounded to four decimals so baseline files stay readable.
+// mean. Rounded to four decimals so the verdict stays readable.
 func cv(samples []float64) float64 {
 	if len(samples) < 2 {
 		return 0
@@ -198,232 +188,131 @@ func cv(samples []float64) float64 {
 	return math.Round(math.Sqrt(ss/float64(len(samples)))/mean*1e4) / 1e4
 }
 
-// gateResult is the fresh-numbers artifact plus the verdict.
-type gateResult struct {
-	Benchmark   string              `json:"benchmark"`
-	Metric      string              `json:"metric"`
-	Tolerance   float64             `json:"tolerance"`
-	PrimaryCell string              `json:"primary_cell"`
-	Kinds       map[string]gateKind `json:"kinds"`
-	Regressions []string            `json:"regressions"`
+// verdict is the gate's JSON artifact.
+type verdict struct {
+	Benchmark   string                 `json:"benchmark"`
+	Metric      string                 `json:"metric"`
+	Alpha       float64                `json:"alpha"`
+	Floor       float64                `json:"floor"`
+	Kinds       map[string]kindVerdict `json:"kinds"`
+	Regressions []string               `json:"regressions"`
 }
 
-type gateKind struct {
-	// Median/Min/Max/Samples describe the primary cell, the kind's
-	// headline series; Baseline is that cell's recorded median.
-	Median   float64   `json:"median"`
-	Min      float64   `json:"min"`
-	Max      float64   `json:"max"`
-	CV       float64   `json:"cv"`
-	Samples  []float64 `json:"samples"`
-	Baseline float64   `json:"baseline"`
-	Ratio    float64   `json:"ratio"`
-	// Cells is the min/median/max spread of every fresh workload×seed
-	// cell of this kind.
-	Cells map[string]cellStat `json:"cells"`
+type kindVerdict struct {
+	// Gated is false for a kind only HEAD ran.
+	Gated bool `json:"gated"`
+	// Ratio is the median of the per-cell HEAD/base median ratios; P
+	// the one-sided Mann-Whitney p-value of HEAD's base-normalized
+	// samples running lower than base's.
+	Ratio float64                `json:"ratio,omitempty"`
+	P     float64                `json:"p,omitempty"`
+	Cells map[string]cellVerdict `json:"cells"`
 }
 
-// gate compares fresh medians against the baseline: each cell a
-// baseline kind records against its fresh counterpart, so a regression
-// confined to one workload or seed fails like any other. A baseline
-// kind without recorded cells, or a kind or cell with no fresh
-// samples, is itself a gate failure: a baseline that cannot be checked
-// or a benchmark that silently stopped running must not pass.
-func gate(baseline map[string]baselineKind, grouped map[string]map[string][]float64, tolerance float64) gateResult {
-	res := gateResult{
+type cellVerdict struct {
+	Base  *cellStat `json:"base,omitempty"`
+	Head  *cellStat `json:"head,omitempty"`
+	Ratio float64   `json:"ratio,omitempty"`
+}
+
+// gate compares HEAD's samples with base's, kind by kind (see the
+// package comment for the rule).
+func gate(base, head map[string]map[string][]float64) verdict {
+	res := verdict{
 		Benchmark:   "BenchmarkHotPath",
 		Metric:      "cycles/sec",
-		Tolerance:   tolerance,
-		PrimaryCell: primaryCell,
-		Kinds:       make(map[string]gateKind),
+		Alpha:       alpha,
+		Floor:       floor,
+		Kinds:       make(map[string]kindVerdict),
 		Regressions: []string{},
 	}
-	kinds := make([]string, 0, len(baseline))
-	for k := range baseline {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	for _, k := range kinds {
-		base := baseline[k]
-		cells := grouped[k]
-		if len(base.Cells) == 0 {
-			res.Regressions = append(res.Regressions, fmt.Sprintf(
-				"%s: baseline records no cells to gate (refresh it with benchgate -update)", k))
-			continue
+	for _, k := range sortedKeys(base, head) {
+		kv := kindVerdict{Gated: base[k] != nil, Cells: make(map[string]cellVerdict)}
+		for c, hs := range head[k] {
+			hst := cellStatOf(hs)
+			kv.Cells[c] = cellVerdict{Head: &hst}
 		}
-		if len(cells) == 0 {
+		if kv.Gated && head[k] == nil {
 			res.Regressions = append(res.Regressions,
-				fmt.Sprintf("%s: no samples (benchmark did not run)", k))
-			continue
+				fmt.Sprintf("%s: no HEAD samples (benchmark did not run)", k))
 		}
-		gk := gateKind{Cells: make(map[string]cellStat, len(cells))}
-		for c, cs := range cells {
-			gk.Cells[c] = cellStatOf(cs)
-		}
-		if ss := cells[primaryCell]; len(ss) > 0 {
-			p := gk.Cells[primaryCell]
-			gk.Median, gk.Min, gk.Max, gk.CV, gk.Samples = p.Median, p.Min, p.Max, p.CV, ss
-			if b := base.Cells[primaryCell].Median; b > 0 {
-				gk.Baseline, gk.Ratio = b, p.Median/b
-			}
-		}
-		baseCells := make([]string, 0, len(base.Cells))
-		for c := range base.Cells {
-			baseCells = append(baseCells, c)
-		}
-		sort.Strings(baseCells)
-		for _, c := range baseCells {
-			bc := base.Cells[c]
-			cs := cells[c]
-			if len(cs) == 0 {
-				res.Regressions = append(res.Regressions,
-					fmt.Sprintf("%s/%s: no samples (cell did not run)", k, c))
+		var baseNorm, headNorm, ratios []float64
+		for _, c := range sortedKeys(base[k]) {
+			bs := base[k][c]
+			bst := cellStatOf(bs)
+			cell := kv.Cells[c]
+			cell.Base = &bst
+			if cell.Head == nil {
+				kv.Cells[c] = cell
+				if head[k] != nil {
+					res.Regressions = append(res.Regressions,
+						fmt.Sprintf("%s/%s: no HEAD samples (cell did not run)", k, c))
+				}
 				continue
 			}
-			if m := median(cs); bc.Median > 0 && m < bc.Median*(1-tolerance) {
-				res.Regressions = append(res.Regressions, fmt.Sprintf(
-					"%s/%s: median %.0f cycles/sec vs baseline %.0f (%.0f%% of baseline, floor %.0f%%)",
-					k, c, m, bc.Median, 100*m/bc.Median, 100*(1-tolerance)))
+			cell.Ratio = cell.Head.Median / bst.Median
+			kv.Cells[c] = cell
+			ratios = append(ratios, cell.Ratio)
+			for _, v := range bs {
+				baseNorm = append(baseNorm, v/bst.Median)
+			}
+			for _, v := range head[k][c] {
+				headNorm = append(headNorm, v/bst.Median)
 			}
 		}
-		res.Kinds[k] = gk
+		if len(ratios) > 0 {
+			kv.Ratio = median(ratios)
+			_, kv.P = stats.MannWhitneyLess(headNorm, baseNorm)
+			if kv.P < alpha && kv.Ratio < floor {
+				res.Regressions = append(res.Regressions, fmt.Sprintf(
+					"%s: HEAD runs at %.3f of base (floor %.2f), p=%.2g (alpha %.2f)",
+					k, kv.Ratio, floor, kv.P, alpha))
+			}
+		}
+		res.Kinds[k] = kv
 	}
 	return res
 }
 
-// updateKind is one kind's record in an appended baseline entry. Min
-// and Max record the primary cell's run-to-run spread behind the
-// "after" median; Cells the per-workload×seed spread of the whole
-// suite.
-type updateKind struct {
-	Before  float64             `json:"before,omitempty"`
-	After   float64             `json:"after"`
-	Min     float64             `json:"min,omitempty"`
-	Max     float64             `json:"max,omitempty"`
-	CV      float64             `json:"cv,omitempty"`
-	Speedup float64             `json:"speedup,omitempty"`
-	Cells   map[string]cellStat `json:"cells,omitempty"`
-}
-
-// buildUpdateEntry folds fresh medians into a new baseline entry:
-// primary-cell medians become "after", the previous entry's "after"
-// become "before" where both exist (kinds new to the suite record only
-// an "after"), and every workload×seed cell records its min/median/max
-// so future gates can check each cell.
-func buildUpdateEntry(prev baselineEntry, grouped map[string]map[string][]float64, pr int, date, change string) (json.RawMessage, error) {
-	if len(grouped) == 0 {
-		return nil, fmt.Errorf("bench output contains no BenchmarkHotPath samples")
-	}
-	kinds := make(map[string]updateKind, len(grouped))
-	for k, cells := range grouped {
-		ss := cells[primaryCell]
-		if len(ss) == 0 {
-			// A kind that skips the primary cell pools everything it ran
-			// — After stays meaningful even for a partial suite.
-			for _, cs := range cells {
-				ss = append(ss, cs...)
+// sortedKeys returns the union of the maps' keys in sorted order.
+func sortedKeys[V any](ms ...map[string]V) []string {
+	seen := make(map[string]bool)
+	var keys []string
+	for _, m := range ms {
+		for k := range m {
+			if !seen[k] {
+				seen[k] = true
+				keys = append(keys, k)
 			}
 		}
-		lo, hi := spread(ss)
-		uk := updateKind{After: median(ss), Min: lo, Max: hi, CV: cv(ss),
-			Cells: make(map[string]cellStat, len(cells))}
-		for c, cs := range cells {
-			uk.Cells[c] = cellStatOf(cs)
-		}
-		if base, ok := prev.CyclesPerSec[k]; ok && base.After > 0 {
-			uk.Before = base.After
-			uk.Speedup = round2(uk.After / uk.Before)
-		}
-		kinds[k] = uk
 	}
-	entry := struct {
-		PR           int                   `json:"pr"`
-		Date         string                `json:"date"`
-		Change       string                `json:"change,omitempty"`
-		CyclesPerSec map[string]updateKind `json:"cycles_per_sec"`
-	}{PR: pr, Date: date, Change: change, CyclesPerSec: kinds}
-	return marshalPlain(entry, "")
-}
-
-// marshalPlain marshals without HTML escaping — the baseline file is
-// read by maintainers, and its comment/change strings legitimately
-// contain <, > and & (shell recipes) that must not turn into <.
-func marshalPlain(v any, indent string) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	if indent != "" {
-		enc.SetIndent("", indent)
-	}
-	if err := enc.Encode(v); err != nil {
-		return nil, err
-	}
-	return bytes.TrimRight(buf.Bytes(), "\n"), nil
-}
-
-// round2 rounds to two decimals (speedup readability).
-func round2(v float64) float64 {
-	return math.Round(v*100) / 100
+	sort.Strings(keys)
+	return keys
 }
 
 func main() {
 	var (
-		baselinePath = flag.String("baseline", "BENCH_hotpath.json", "recorded baseline file")
-		benchPath    = flag.String("bench", "-", "go test -bench output ('-' = stdin)")
-		tolerance    = flag.Float64("tolerance", 0.20, "allowed fractional regression before failing")
-		outPath      = flag.String("out", "", "write fresh numbers + verdict as JSON here")
-		update       = flag.Bool("update", false, "append a fresh baseline entry instead of gating")
-		pr           = flag.Int("pr", 0, "PR number recorded in the appended entry (-update)")
-		change       = flag.String("change", "", "one-line change description for the appended entry (-update)")
+		basePath = flag.String("base", "", "go test -bench output of the base (merge-base) build")
+		headPath = flag.String("head", "", "go test -bench output of the HEAD build")
+		outPath  = flag.String("out", "", "write the verdict as JSON here")
 	)
 	flag.Parse()
-
-	data, err := os.ReadFile(*baselinePath)
+	if *basePath == "" || *headPath == "" {
+		fatal("-base and -head are both required")
+	}
+	base, err := readBench(*basePath)
 	if err != nil {
 		fatal("%v", err)
 	}
-	var bf baselineFile
-	if err := json.Unmarshal(data, &bf); err != nil {
-		fatal("parse %s: %v", *baselinePath, err)
-	}
-	latest, err := bf.latestEntry()
-	if err != nil {
-		fatal("%s: %v", *baselinePath, err)
-	}
-
-	in := os.Stdin
-	if *benchPath != "-" {
-		f, err := os.Open(*benchPath)
-		if err != nil {
-			fatal("%v", err)
-		}
-		defer f.Close()
-		in = f
-	}
-	grouped, err := parseBench(in)
+	head, err := readBench(*headPath)
 	if err != nil {
 		fatal("%v", err)
 	}
-
-	if *update {
-		entry, err := buildUpdateEntry(latest, grouped, *pr, time.Now().Format("2006-01-02"), *change)
-		if err != nil {
-			fatal("%v", err)
-		}
-		bf.Entries = append(bf.Entries, entry)
-		out, err := marshalPlain(&bf, "  ")
-		if err != nil {
-			fatal("%v", err)
-		}
-		if err := os.WriteFile(*baselinePath, append(out, '\n'), 0o644); err != nil {
-			fatal("%v", err)
-		}
-		fmt.Printf("benchgate: appended entry pr=%d with %d kinds to %s\n",
-			*pr, len(grouped), *baselinePath)
-		return
+	if len(base) == 0 {
+		fatal("%s has no BenchmarkHotPath samples: nothing to gate", *basePath)
 	}
 
-	res := gate(latest.CyclesPerSec, grouped, *tolerance)
+	res := gate(base, head)
 	if *outPath != "" {
 		out, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
@@ -433,24 +322,17 @@ func main() {
 			fatal("%v", err)
 		}
 	}
-	kinds := make([]string, 0, len(res.Kinds))
-	for k := range res.Kinds {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	for _, k := range kinds {
-		gk := res.Kinds[k]
-		fmt.Printf("benchgate: %-10s median %12.0f  [%.0f..%.0f]  cv %.3f  baseline %12.0f  ratio %.2f\n",
-			k, gk.Median, gk.Min, gk.Max, gk.CV, gk.Baseline, gk.Ratio)
-		cells := make([]string, 0, len(gk.Cells))
-		for c := range gk.Cells {
-			cells = append(cells, c)
+	for _, k := range sortedKeys(res.Kinds) {
+		kv := res.Kinds[k]
+		if !kv.Gated {
+			fmt.Printf("benchgate: %-20s not gated (base did not run it)\n", k)
+		} else {
+			fmt.Printf("benchgate: %-20s HEAD/base %.3f  p %.2g\n", k, kv.Ratio, kv.P)
 		}
-		sort.Strings(cells)
-		for _, c := range cells {
-			cs := gk.Cells[c]
-			fmt.Printf("benchgate:   %-20s median %12.0f  [%.0f..%.0f]  cv %.3f\n",
-				c, cs.Median, cs.Min, cs.Max, cs.CV)
+		for _, c := range sortedKeys(kv.Cells) {
+			cell := kv.Cells[c]
+			fmt.Printf("benchgate:   %-12s base %s  head %s  ratio %.3f\n",
+				c, cell.Base, cell.Head, cell.Ratio)
 		}
 	}
 	if len(res.Regressions) > 0 {
@@ -459,8 +341,27 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Printf("benchgate: ok (%d kinds within %.0f%% of baseline)\n",
-		len(res.Kinds), 100**tolerance)
+	fmt.Printf("benchgate: ok (%d kinds; none both p < %.2f and below %.2f of base)\n",
+		len(res.Kinds), alpha, floor)
+}
+
+// String formats a cell's median and cv for the report; "-" when the
+// side did not run the cell.
+func (s *cellStat) String() string {
+	if s == nil {
+		return fmt.Sprintf("%20s", "-")
+	}
+	return fmt.Sprintf("%12.0f cv %.3f", s.Median, s.CV)
+}
+
+// readBench parses one bench output file.
+func readBench(path string) (map[string]map[string][]float64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return parseBench(f)
 }
 
 func fatal(format string, args ...any) {

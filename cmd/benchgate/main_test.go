@@ -1,15 +1,20 @@
 package main
 
 import (
-	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 // benchFixture is real-shaped `go test -bench -count=3` output from
-// the multi-cell suite: three samples per kind at the primary cell,
-// extra workload/seed cells, kind names containing dashes, a line with
-// no GOMAXPROCS suffix, plus noise lines the parser must skip.
+// the multi-cell suite: three samples at apache/s11, extra
+// workload/seed cells, kind names containing dashes, a line with no
+// GOMAXPROCS suffix, plus noise lines the parser must skip.
 const benchFixture = `goos: linux
 goarch: amd64
 pkg: repro
@@ -39,22 +44,22 @@ func TestParseBenchAndGroup(t *testing.T) {
 	if len(grouped) != 3 {
 		t.Fatalf("parsed kinds %v, want NoDMR, MMM-IPC and SingleOS", grouped)
 	}
-	if got := grouped["NoDMR"][primaryCell]; len(got) != 3 || got[0] != 1600000 {
-		t.Fatalf("NoDMR primary samples: %v", got)
+	if got := grouped["NoDMR"]["apache/s11"]; len(got) != 3 || got[0] != 1600000 {
+		t.Fatalf("NoDMR apache/s11 samples: %v", got)
 	}
 	if got := grouped["NoDMR"]["oltp/s12"]; len(got) != 1 || got[0] != 2000000 {
 		t.Fatalf("NoDMR oltp/s12 samples: %v", got)
 	}
 	// Dashed kind names must survive the GOMAXPROCS-suffix strip.
-	if got := grouped["MMM-IPC"][primaryCell]; len(got) != 3 || got[1] != 900000 {
+	if got := grouped["MMM-IPC"]["apache/s11"]; len(got) != 3 || got[1] != 900000 {
 		t.Fatalf("MMM-IPC samples: %v", got)
 	}
 	// GOMAXPROCS=1 output has no -N suffix.
-	if got := grouped["SingleOS"][primaryCell]; len(got) != 1 || got[0] != 4000000 {
+	if got := grouped["SingleOS"]["apache/s11"]; len(got) != 1 || got[0] != 4000000 {
 		t.Fatalf("SingleOS samples: %v", got)
 	}
 	// A cell-less line cannot be gated: it is an error naming the
-	// expected form, not a silent primary-cell sample.
+	// expected form, not a silently dropped sample.
 	_, err = parseBench(strings.NewReader(benchFixture + legacyLine))
 	if err == nil || !strings.Contains(err.Error(), "<kind>/<workload>/s<seed>") {
 		t.Fatalf("bare-kind line: err %v, want one naming <kind>/<workload>/s<seed>", err)
@@ -67,10 +72,12 @@ func TestSplitCell(t *testing.T) {
 		ok               bool
 	}{
 		{"NoDMR/apache/s11", "NoDMR", "apache/s11", true},
+		{"NoDMR/apache/s11-4", "NoDMR", "apache/s11", true},
 		{"MMM-IPC/oltp/s13", "MMM-IPC", "oltp/s13", true},
 		{"SingleOS", "", "", false},
 		{"SingleOS/apache", "", "", false},
 		{"SingleOS/apache/11", "", "", false},
+		{"SingleOS/apache/s11-", "", "", false},
 	}
 	for _, tc := range cases {
 		k, c, ok := splitCell(tc.name)
@@ -125,195 +132,260 @@ func TestCV(t *testing.T) {
 	}
 }
 
-// TestGateFloorBoundary: the gate fails strictly below
-// baseline*(1-tolerance); a median exactly at the floor passes.
-func TestGateFloorBoundary(t *testing.T) {
-	baseline := map[string]baselineKind{"A": {Cells: map[string]cellStat{primaryCell: {Median: 1000}}}}
-	at := map[string]map[string][]float64{"A": {primaryCell: {800}}}
-	if res := gate(baseline, at, 0.20); len(res.Regressions) != 0 {
-		t.Errorf("median exactly at the 20%% floor flagged: %v", res.Regressions)
+// hotPathSpeeds are per-kind cycles/sec levels of very different
+// magnitude, like the real suite's: pooling must not let the fast kind
+// or cell dominate.
+var hotPathSpeeds = map[string]float64{"NoDMR": 1.6e6, "NoDMR2X": 3.2e6, "MMM-TP": 0.9e6}
+
+// synthBench renders `go test -bench` output for three rounds of the
+// 2-workload × 3-seed grid of every kind in hotPathSpeeds, each sample
+// the kind's speed (varied per cell) times scale and ±2% noise drawn
+// from rng.
+func synthBench(rng *rand.Rand, scale float64) string {
+	var b strings.Builder
+	for round := 0; round < 3; round++ {
+		for _, k := range sortedKeys(hotPathSpeeds) {
+			for i, cell := range []string{"apache/s11", "apache/s12", "apache/s13", "oltp/s11", "oltp/s12", "oltp/s13"} {
+				v := hotPathSpeeds[k] * (1 + 0.1*float64(i)) * scale * (0.98 + 0.04*rng.Float64())
+				fmt.Fprintf(&b, "BenchmarkHotPath/%s/%s-2 \t     100\t  10000000 ns/op\t %.0f cycles/sec\n", k, cell, v)
+			}
+		}
 	}
-	below := map[string]map[string][]float64{"A": {primaryCell: {799}}}
-	if res := gate(baseline, below, 0.20); len(res.Regressions) != 1 {
-		t.Errorf("median below the floor not flagged: %v", res.Regressions)
-	}
+	return b.String()
 }
 
-// TestGateRecordsCV: the gate artifact and the appended baseline entry
-// both carry the coefficient of variation next to every median.
-func TestGateRecordsCV(t *testing.T) {
-	baseline := map[string]baselineKind{"A": {Cells: map[string]cellStat{primaryCell: {Median: 100}}}}
-	fresh := map[string]map[string][]float64{"A": {
-		primaryCell: {90, 110},
-		"oltp/s12":  {90, 110},
-	}}
-	res := gate(baseline, fresh, 0.20)
-	if gk := res.Kinds["A"]; gk.CV != 0.1 {
-		t.Errorf("gate kind CV = %v, want 0.1", gk.CV)
-	}
-	if cs := res.Kinds["A"].Cells["oltp/s12"]; cs.CV != 0.1 {
-		t.Errorf("gate cell CV = %v, want 0.1", cs.CV)
-	}
-
-	raw, err := buildUpdateEntry(baselineEntry{}, fresh, 10, "2026-08-07", "")
+func mustParse(t *testing.T, out string) map[string]map[string][]float64 {
+	t.Helper()
+	g, err := parseBench(strings.NewReader(out))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var entry struct {
-		CyclesPerSec map[string]updateKind `json:"cycles_per_sec"`
-	}
-	if err := json.Unmarshal(raw, &entry); err != nil {
-		t.Fatal(err)
-	}
-	uk := entry.CyclesPerSec["A"]
-	if uk.CV != 0.1 || uk.Cells[primaryCell].CV != 0.1 {
-		t.Errorf("update entry CV = %v / %v, want 0.1 / 0.1", uk.CV, uk.Cells[primaryCell].CV)
-	}
+	return g
 }
 
+// scaled returns a copy of grouped with every sample multiplied by s:
+// the same relative data measured on a slower or faster box.
+func scaled(grouped map[string]map[string][]float64, s float64) map[string]map[string][]float64 {
+	out := make(map[string]map[string][]float64, len(grouped))
+	for k, cells := range grouped {
+		out[k] = make(map[string][]float64, len(cells))
+		for c, ss := range cells {
+			vs := make([]float64, len(ss))
+			for i, v := range ss {
+				vs[i] = v * s
+			}
+			out[k][c] = vs
+		}
+	}
+	return out
+}
+
+// TestGate: an A/A comparison passes, HEAD at 0.9x of base fails every
+// kind, and neither verdict moves when both sides are measured on a
+// box 0.4x or 2.5x as fast.
 func TestGate(t *testing.T) {
-	grouped, err := parseBench(strings.NewReader(benchFixture))
-	if err != nil {
-		t.Fatal(err)
+	rng := rand.New(rand.NewSource(1))
+	base := mustParse(t, synthBench(rng, 1))
+	same := mustParse(t, synthBench(rng, 1))
+	slow := mustParse(t, synthBench(rng, 0.9))
+
+	aa := gate(base, same)
+	if len(aa.Regressions) != 0 {
+		t.Fatalf("A/A flagged: %v", aa.Regressions)
 	}
-	baseline := map[string]baselineKind{
-		"NoDMR":   {Cells: map[string]cellStat{primaryCell: {Median: 1624690}}},
-		"MMM-IPC": {Cells: map[string]cellStat{primaryCell: {Median: 1034722}}},
+	ab := gate(base, slow)
+	if len(ab.Regressions) != len(hotPathSpeeds) {
+		t.Fatalf("HEAD at 0.9x: regressions %v, want one per kind", ab.Regressions)
+	}
+	for k := range hotPathSpeeds {
+		kv := ab.Kinds[k]
+		if !kv.Gated || kv.Ratio >= floor || kv.P >= alpha {
+			t.Errorf("%s at 0.9x: %+v, want gated, ratio below %v, p < %v", k, kv, floor, alpha)
+		}
+		if c := kv.Cells["oltp/s13"]; c.Base == nil || c.Head == nil || c.Ratio >= floor {
+			t.Errorf("%s/oltp/s13 at 0.9x: %+v", k, c)
+		}
 	}
 
-	// Medians 1600000 and 950000 are ~0.98x and ~0.92x of baseline:
-	// comfortably inside a 35% tolerance.
-	res := gate(baseline, grouped, 0.35)
-	if len(res.Regressions) != 0 {
-		t.Fatalf("within tolerance but flagged: %v", res.Regressions)
-	}
-	if res.Kinds["NoDMR"].Median != 1600000 {
-		t.Fatalf("NoDMR median: %+v", res.Kinds["NoDMR"])
-	}
-	// The artifact records the per-cell run-to-run spread next to the
-	// median, so a noisy box is distinguishable from a shifted median.
-	if gk := res.Kinds["NoDMR"]; gk.Min != 1500000 || gk.Max != 1700000 {
-		t.Fatalf("NoDMR spread: %+v", gk)
-	}
-	if cs := res.Kinds["NoDMR"].Cells["oltp/s12"]; cs.Median != 2000000 {
-		t.Fatalf("NoDMR oltp cell: %+v", res.Kinds["NoDMR"].Cells)
-	}
-	if gk := res.Kinds["MMM-IPC"]; gk.Min != 900000 || gk.Max != 1000000 {
-		t.Fatalf("MMM-IPC spread: %+v", gk)
-	}
-
-	// A tight tolerance turns the slower kind into a regression.
-	res = gate(baseline, grouped, 0.05)
-	if len(res.Regressions) != 1 || !strings.Contains(res.Regressions[0], "MMM-IPC") {
-		t.Fatalf("5%% tolerance: %v", res.Regressions)
-	}
-
-	// A baseline kind with no fresh samples is itself a failure — the
-	// gate must not silently pass when a benchmark stops running.
-	baseline["Reunion"] = baselineKind{Cells: map[string]cellStat{primaryCell: {Median: 1000000}}}
-	res = gate(baseline, grouped, 0.35)
-	if len(res.Regressions) != 1 || !strings.Contains(res.Regressions[0], "Reunion") {
-		t.Fatalf("missing kind not flagged: %v", res.Regressions)
-	}
-	delete(baseline, "Reunion")
-
-	// Every recorded cell is gated: a regression confined to one cell
-	// fails even when the primary cell is healthy, and a cell that
-	// stopped running fails too.
-	baseline["NoDMR"] = baselineKind{Cells: map[string]cellStat{
-		primaryCell: {Median: 1624690},
-		"oltp/s12":  {Median: 4000000}, // fresh median 2000000: 50% drop
-	}}
-	res = gate(baseline, grouped, 0.35)
-	if len(res.Regressions) != 1 || !strings.Contains(res.Regressions[0], "NoDMR/oltp/s12") {
-		t.Fatalf("per-cell regression not flagged: %v", res.Regressions)
-	}
-	baseline["NoDMR"] = baselineKind{Cells: map[string]cellStat{
-		"oltp/s13": {Median: 2000000},
-	}}
-	res = gate(baseline, grouped, 0.35)
-	if len(res.Regressions) != 1 || !strings.Contains(res.Regressions[0], "NoDMR/oltp/s13") {
-		t.Fatalf("missing cell not flagged: %v", res.Regressions)
-	}
-
-	// A baseline kind recorded before the multi-cell suite has no cells
-	// to gate: it fails and says how to refresh the baseline.
-	baseline["NoDMR"] = baselineKind{After: 1624690}
-	res = gate(baseline, grouped, 0.35)
-	if len(res.Regressions) != 1 || !strings.Contains(res.Regressions[0], "NoDMR") ||
-		!strings.Contains(res.Regressions[0], "-update") {
-		t.Fatalf("cell-less baseline kind not flagged with -update: %v", res.Regressions)
+	for _, tc := range []struct {
+		head map[string]map[string][]float64
+		want verdict
+	}{{same, aa}, {slow, ab}} {
+		for _, s := range []float64{0.4, 2.5} {
+			got := gate(scaled(base, s), scaled(tc.head, s))
+			if !reflect.DeepEqual(got.Regressions, tc.want.Regressions) {
+				t.Errorf("box %vx: regressions %v, want %v", s, got.Regressions, tc.want.Regressions)
+			}
+			for k, kv := range tc.want.Kinds {
+				g := got.Kinds[k]
+				if math.Abs(g.Ratio-kv.Ratio) > 1e-12 || math.Abs(g.P-kv.P) > 1e-12 {
+					t.Errorf("box %vx: %s ratio %v p %v, want %v %v", s, k, g.Ratio, g.P, kv.Ratio, kv.P)
+				}
+			}
+		}
 	}
 }
 
-func TestBuildUpdateEntry(t *testing.T) {
-	grouped, err := parseBench(strings.NewReader(benchFixture))
-	if err != nil {
-		t.Fatal(err)
+// TestGateMissingAndNewKinds: a kind or cell the base ran and HEAD did
+// not fails; a kind only HEAD ran is reported but not gated, and a cell
+// only HEAD ran is reported and not pooled.
+func TestGateMissingAndNewKinds(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	base := mustParse(t, synthBench(rng, 1))
+	head := mustParse(t, synthBench(rng, 1))
+
+	delete(head, "MMM-TP")
+	delete(head["NoDMR"], "oltp/s12")
+	head["NoDMR"]["pmake/s11"] = []float64{1, 1, 1}
+	head["Reunion"] = map[string][]float64{"apache/s11": {1e6, 1e6, 1e6}}
+	res := gate(base, head)
+	want := []string{
+		"MMM-TP: no HEAD samples (benchmark did not run)",
+		"NoDMR/oltp/s12: no HEAD samples (cell did not run)",
 	}
-	prev := baselineEntry{
-		PR: 4,
-		CyclesPerSec: map[string]baselineKind{
-			"NoDMR":   {After: 1500000},
-			"MMM-IPC": {After: 1000000},
-			// A kind retired from the suite simply drops out.
-			"Retired": {After: 1},
-		},
+	if !reflect.DeepEqual(res.Regressions, want) {
+		t.Fatalf("regressions %q, want %q", res.Regressions, want)
 	}
-	raw, err := buildUpdateEntry(prev, grouped, 5, "2026-07-29", "test change")
-	if err != nil {
-		t.Fatal(err)
+	if kv, ok := res.Kinds["Reunion"]; !ok || kv.Gated || kv.Cells["apache/s11"].Head == nil {
+		t.Fatalf("HEAD-only kind: %+v (present %v), want reported, not gated", kv, ok)
 	}
-	var entry struct {
-		PR           int                   `json:"pr"`
-		Date         string                `json:"date"`
-		Change       string                `json:"change"`
-		CyclesPerSec map[string]updateKind `json:"cycles_per_sec"`
+	// The HEAD-only cell's samples (1 cycle/sec) would sink NoDMR if
+	// they were pooled against some other cell's base median.
+	nd := res.Kinds["NoDMR"]
+	if c := nd.Cells["pmake/s11"]; c.Base != nil || c.Head == nil || c.Ratio != 0 {
+		t.Fatalf("HEAD-only cell: %+v", c)
 	}
-	if err := json.Unmarshal(raw, &entry); err != nil {
-		t.Fatal(err)
+	if nd.Ratio < 0.95 {
+		t.Fatalf("NoDMR ratio %v: HEAD-only cell pooled", nd.Ratio)
 	}
-	if entry.PR != 5 || entry.Date != "2026-07-29" || entry.Change != "test change" {
-		t.Fatalf("header: %+v", entry)
+}
+
+// TestGateFloorBoundary: a kind fails only when HEAD is significantly
+// slower AND its median ratio is strictly below the floor.
+func TestGateFloorBoundary(t *testing.T) {
+	// Eight samples per side, cleanly separated once scaled: p well
+	// below alpha. Power-of-two base medians keep every cell's ratio at
+	// exactly the scale factor.
+	base := map[string]map[string][]float64{"A": {
+		"apache/s11": {1023, 1024, 1026, 1027},
+		"oltp/s11":   {2047, 2048, 2050, 2051},
+	}}
+	res := gate(base, scaled(base, floor))
+	if kv := res.Kinds["A"]; kv.Ratio != floor || kv.P >= alpha {
+		t.Fatalf("at floor: %+v, want ratio exactly %v and p < %v", kv, floor, alpha)
 	}
-	// Known kinds: primary-cell median becomes after, previous after
-	// becomes before.
-	nd := entry.CyclesPerSec["NoDMR"]
-	if nd.After != 1600000 || nd.Before != 1500000 || nd.Speedup != 1.07 {
-		t.Fatalf("NoDMR: %+v", nd)
-	}
-	// Appended entries record the spread behind the median too — the
-	// primary cell's inline, every cell's in the cells map.
-	if nd.Min != 1500000 || nd.Max != 1700000 {
-		t.Fatalf("NoDMR spread in entry: %+v", nd)
-	}
-	if cs := nd.Cells["oltp/s12"]; cs.Median != 2000000 || cs.Min != 2000000 || cs.Max != 2000000 {
-		t.Fatalf("NoDMR cells in entry: %+v", nd.Cells)
-	}
-	if cs := nd.Cells[primaryCell]; cs.Median != 1600000 {
-		t.Fatalf("NoDMR primary cell in entry: %+v", nd.Cells)
-	}
-	// A kind new to the suite records only an after — the exact case
-	// the gate's missing-kind check could previously only fail on.
-	so := entry.CyclesPerSec["SingleOS"]
-	if so.After != 4000000 || so.Before != 0 || so.Speedup != 0 {
-		t.Fatalf("SingleOS: %+v", so)
-	}
-	if _, ok := entry.CyclesPerSec["Retired"]; ok {
-		t.Fatal("retired kind resurrected")
-	}
-	// The gate accepts the appended entry as its new baseline — now
-	// including the per-cell checks.
-	var latest baselineEntry
-	if err := json.Unmarshal(raw, &latest); err != nil {
-		t.Fatal(err)
-	}
-	res := gate(latest.CyclesPerSec, grouped, 0.35)
 	if len(res.Regressions) != 0 {
-		t.Fatalf("fresh entry gates its own samples: %v", res.Regressions)
+		t.Errorf("ratio exactly at the floor flagged: %v", res.Regressions)
 	}
-	// No samples at all is an error, not an empty entry.
-	if _, err := buildUpdateEntry(prev, nil, 5, "2026-07-29", ""); err == nil {
-		t.Fatal("empty samples accepted")
+	if res := gate(base, scaled(base, 0.94)); len(res.Regressions) != 1 {
+		t.Errorf("significant ratio below the floor not flagged: %v", res.Regressions)
 	}
+	// Far below the floor but one sample per side: no significance,
+	// no failure.
+	one := map[string]map[string][]float64{"A": {"apache/s11": {1024}}}
+	if res := gate(one, scaled(one, 0.5)); len(res.Regressions) != 0 {
+		t.Errorf("single-sample halving flagged: %+v", res)
+	}
+}
+
+// TestGateRecordsCV: the verdict carries each side's spread and
+// coefficient of variation next to every cell median.
+func TestGateRecordsCV(t *testing.T) {
+	base := map[string]map[string][]float64{"A": {"apache/s11": {90, 110}, "oltp/s12": {100, 100}}}
+	head := map[string]map[string][]float64{"A": {"apache/s11": {95, 105}, "oltp/s12": {90, 110}}}
+	res := gate(base, head)
+	c := res.Kinds["A"].Cells["apache/s11"]
+	if c.Base.CV != 0.1 || c.Base.Min != 90 || c.Base.Max != 110 || c.Head.CV != 0.05 {
+		t.Errorf("apache/s11: base %+v head %+v, want cv 0.1 [90..110] / cv 0.05", c.Base, c.Head)
+	}
+	if c := res.Kinds["A"].Cells["oltp/s12"]; c.Base.CV != 0 || c.Head.CV != 0.1 {
+		t.Errorf("oltp/s12: base %+v head %+v, want cv 0 / 0.1", c.Base, c.Head)
+	}
+}
+
+// FuzzParseBench checks parseBench on arbitrary text against an oracle
+// written without its regexp: it never panics; it fails exactly when a
+// line whose first field starts with BenchmarkHotPath/ names no
+// <kind>/<workload>/s<seed> cell; and every sample it returns is a
+// finite positive number that a line naming that cell reports before a
+// "cycles/sec" field, with no more samples than such lines. Seeds live
+// in testdata/fuzz/FuzzParseBench.
+func FuzzParseBench(f *testing.F) {
+	f.Fuzz(func(t *testing.T, out string) {
+		got, err := parseBench(strings.NewReader(out))
+		var lines [][]string
+		bad := false
+		for _, l := range strings.Split(out, "\n") {
+			fs := strings.Fields(l)
+			if len(fs) == 0 || !strings.HasPrefix(fs[0], benchPrefix) {
+				continue
+			}
+			lines = append(lines, fs)
+			bad = bad || !namesCell(strings.TrimPrefix(fs[0], benchPrefix))
+		}
+		if (err != nil) != bad {
+			t.Fatalf("err %v, but a line naming no cell: %v", err, bad)
+		}
+		for k, cells := range got {
+			for c, ss := range cells {
+				name := k + "/" + c
+				if !namesCell(name) {
+					t.Fatalf("returned cell %q is no cell", name)
+				}
+				var reported []float64
+				n := 0
+				for _, fs := range lines {
+					if l := strings.TrimPrefix(fs[0], benchPrefix); l != name && !strings.HasPrefix(l, name+"-") {
+						continue
+					}
+					n++
+					for i := 1; i < len(fs); i++ {
+						if fs[i] == "cycles/sec" {
+							if v, err := strconv.ParseFloat(fs[i-1], 64); err == nil {
+								reported = append(reported, v)
+							}
+						}
+					}
+				}
+				if len(ss) > n {
+					t.Fatalf("%s: %d samples from %d lines", name, len(ss), n)
+				}
+				for _, v := range ss {
+					if !(v > 0) || math.IsInf(v, 0) {
+						t.Fatalf("%s: sample %v is not finite positive", name, v)
+					}
+					if !slices.Contains(reported, v) {
+						t.Fatalf("%s: sample %v not reported by any line naming the cell", name, v)
+					}
+				}
+			}
+		}
+	})
+}
+
+// namesCell is the fuzz oracle's reading of the cell form:
+// <kind>/<workload>/s<digits>, optionally followed by -<digits>.
+func namesCell(name string) bool {
+	parts := strings.Split(name, "/")
+	if len(parts) != 3 || parts[0] == "" || parts[1] == "" {
+		return false
+	}
+	seed := parts[2]
+	if i := strings.LastIndexByte(seed, '-'); i >= 0 {
+		if !allDigits(seed[i+1:]) {
+			return false
+		}
+		seed = seed[:i]
+	}
+	return strings.HasPrefix(seed, "s") && allDigits(seed[1:])
+}
+
+// allDigits reports whether s is one or more ASCII digits.
+func allDigits(s string) bool {
+	for _, r := range s {
+		if r < '0' || r > '9' {
+			return false
+		}
+	}
+	return s != ""
 }

@@ -145,7 +145,7 @@ func TestAdaptiveTrialBounds(t *testing.T) {
 // rerun, so resumes redo only unfinished waves.
 func TestAdaptiveWarmResume(t *testing.T) {
 	spec := adaptiveSpec()
-	counting := NewCountingCache(NewMemCache())
+	counting := NewCountingCache(mustDiskCache(t, t.TempDir()))
 
 	cold, rsCold := runSpecRows(t, New(Options{Parallel: 2, Cache: counting}), spec)
 	_, _, putsCold := counting.Stats()
@@ -180,7 +180,7 @@ func TestAdaptiveWarmResume(t *testing.T) {
 	p1.HalfWidth = 0.001 // unreachable at these trial caps: every cell caps out
 	p1.MaxTrials = 4
 	shallow.Precision = &p1
-	part := NewCountingCache(NewMemCache())
+	part := NewCountingCache(mustDiskCache(t, t.TempDir()))
 	_, rsShallow := runSpecRows(t, New(Options{Parallel: 2, Cache: part}), shallow)
 	if rsShallow.Misses != 2*len(shallow.Jobs) {
 		t.Fatalf("shallow run scheduled %d waves, want %d", rsShallow.Misses, 2*len(shallow.Jobs))
@@ -274,7 +274,7 @@ func TestAdaptiveWorkerKilledMidWave(t *testing.T) {
 
 	victim, ts1 := startWorker(t, "victim", 2, nil)
 	_, ts2 := startWorker(t, "survivor", 2, nil)
-	counting := NewCountingCache(NewMemCache())
+	counting := NewCountingCache(mustDiskCache(t, t.TempDir()))
 
 	d := NewDispatcher(DispatchOptions{
 		Workers:  []string{ts1.URL, ts2.URL},

@@ -26,40 +26,6 @@ type Cache interface {
 	Put(key string, m core.Metrics) error
 }
 
-// MemCache is an unbounded in-process Cache, useful for sharing
-// simulation work inside one process (tests, examples). Services keep
-// results across restarts with DiskCache instead.
-type MemCache struct {
-	mu sync.RWMutex
-	m  map[string]core.Metrics
-}
-
-// NewMemCache returns an empty in-memory cache.
-func NewMemCache() *MemCache { return &MemCache{m: make(map[string]core.Metrics)} }
-
-// Get implements Cache.
-func (c *MemCache) Get(key string) (core.Metrics, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	m, ok := c.m[key]
-	return m, ok
-}
-
-// Put implements Cache.
-func (c *MemCache) Put(key string, m core.Metrics) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[key] = m
-	return nil
-}
-
-// Len reports the number of cached results.
-func (c *MemCache) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.m)
-}
-
 // CountingCache wraps a Cache with hit/miss/store counters, so
 // services can report cache effectiveness without instrumenting every
 // call site. Safe for concurrent use when the wrapped cache is.

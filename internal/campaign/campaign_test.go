@@ -266,7 +266,7 @@ func TestCatalogAxes(t *testing.T) {
 }
 
 func TestCountingCache(t *testing.T) {
-	cc := NewCountingCache(NewMemCache())
+	cc := NewCountingCache(mustDiskCache(t, t.TempDir()))
 	if _, ok := cc.Get("a"); ok {
 		t.Fatal("phantom hit")
 	}

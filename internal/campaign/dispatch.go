@@ -27,11 +27,6 @@ type DispatchOptions struct {
 	// Addr is the coordinator's listen address for the per-campaign
 	// job board; default "127.0.0.1:0" (an ephemeral port).
 	Addr string
-	// Advertise overrides the board URL handed to workers, for fleets
-	// where the coordinator's listen address is not the address
-	// workers can reach (NAT, containers). Default: the listener's
-	// own address.
-	Advertise string
 	// LeaseTTL bounds how long a worker may go silent before its
 	// leases are revoked and reassigned; default 15s.
 	LeaseTTL time.Duration
@@ -131,10 +126,7 @@ func (d *Dispatcher) serve(ctx context.Context, b *board) error {
 	go func() { _ = srv.Serve(ln) }() // Serve returns once Close tears the listener down
 	defer srv.Close()
 
-	boardURL := d.opts.Advertise
-	if boardURL == "" {
-		boardURL = "http://" + ln.Addr().String()
-	}
+	boardURL := "http://" + ln.Addr().String()
 	attached := 0
 	var lastErr error
 	for _, w := range d.opts.Workers {

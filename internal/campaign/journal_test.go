@@ -216,7 +216,7 @@ func TestJournalFileRoundTrip(t *testing.T) {
 // replayed result set preserves the hit accounting.
 func TestJournalCacheHitRerun(t *testing.T) {
 	jobs := determinismJobs(t)
-	cache := NewMemCache()
+	cache := mustDiskCache(t, t.TempDir())
 	eng := New(Options{Parallel: 2, Cache: cache})
 	if _, err := eng.Run(context.Background(), microScale(), jobs); err != nil {
 		t.Fatal(err)
@@ -518,7 +518,7 @@ func TestEngineJournalShape(t *testing.T) {
 		}},
 	}
 	for _, tr := range transports {
-		cache := NewMemCache()
+		cache := mustDiskCache(t, t.TempDir())
 		for _, warm := range []bool{false, true} {
 			name := fmt.Sprintf("%s/warm=%v", tr.name, warm)
 			j, err := NewJournal(name, "")

@@ -91,7 +91,7 @@ func TestDistributedMatchesLocal(t *testing.T) {
 // resume for free.
 func TestDistributedSharesCacheWithLocal(t *testing.T) {
 	jobs := determinismJobs(t)
-	cache := NewMemCache()
+	cache := mustDiskCache(t, t.TempDir())
 
 	local, _ := runRows(t, New(Options{Parallel: 2, Cache: cache}), jobs)
 
@@ -106,7 +106,7 @@ func TestDistributedSharesCacheWithLocal(t *testing.T) {
 
 	// The other direction: a distributed cold run fills a cache that a
 	// local rerun consumes.
-	cache2 := NewMemCache()
+	cache2 := mustDiskCache(t, t.TempDir())
 	_, ts1 := startWorker(t, "w1", 2, nil)
 	cold, rs2 := runRows(t, dispatcherFor(cache2, 2*time.Second, ts1.URL), jobs)
 	if rs2.Misses != len(jobs) {
@@ -230,7 +230,7 @@ func TestCancelMidDispatchRevokesLeases(t *testing.T) {
 // must not land a second copy.
 func TestShutdownNeverDoubleCounts(t *testing.T) {
 	jobs := determinismJobs(t)
-	counting := NewCountingCache(NewMemCache())
+	counting := NewCountingCache(mustDiskCache(t, t.TempDir()))
 
 	_, ts1 := startWorker(t, "w1", 2, nil)
 

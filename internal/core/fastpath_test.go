@@ -217,7 +217,7 @@ func TestRunMatchesTickUnderFaultInjection(t *testing.T) {
 // BenchmarkNewSystem tracks chip-construction cost (PAT sync, page
 // tables, cache arrays): campaign workers and relia trial batches build
 // thousands of short-lived chips, so construction is part of the hot
-// path. BENCH_hotpath.json records its trajectory.
+// path. BENCH_hotpath.json keeps its earlier numbers as frozen history.
 func BenchmarkNewSystem(b *testing.B) {
 	wl, err := workload.ByName("apache")
 	if err != nil {

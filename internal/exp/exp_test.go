@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"fmt"
+	"os"
 	"sync"
 	"testing"
 
@@ -11,8 +13,25 @@ import (
 
 // testCache is shared by every test config: experiments that revisit a
 // cell another test already simulated at the same scale hit the warm
-// cache instead of re-simulating.
-var testCache = campaign.NewMemCache()
+// cache instead of re-simulating. TestMain opens it in a fresh
+// directory and removes that when the tests end.
+var testCache *campaign.DiskCache
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "exp-test-cache-")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	testCache, err = campaign.NewDiskCache(dir)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
 
 // tiny returns a minimal-scale experiment config for tests.
 func tiny() Config {

@@ -222,6 +222,58 @@ func WorstCaseTrials(half float64) uint64 {
 	return uint64(math.Ceil(n))
 }
 
+// MannWhitneyLess runs a one-sided Mann-Whitney U test of whether x
+// tends to be smaller than y. It returns x's U statistic — the number
+// of (x, y) pairs with x above y, ties counting one half — and the
+// p-value of a U that small when both samples come from one
+// distribution. The p-value uses the normal approximation with tie and
+// continuity corrections; it is 1 when either sample is empty or every
+// value is tied, since such samples carry no evidence either way.
+func MannWhitneyLess(x, y []float64) (u, p float64) {
+	n, m := len(x), len(y)
+	if n == 0 || m == 0 {
+		return 0, 1
+	}
+	type obs struct {
+		v   float64
+		inX bool
+	}
+	all := make([]obs, 0, n+m)
+	for _, v := range x {
+		all = append(all, obs{v, true})
+	}
+	for _, v := range y {
+		all = append(all, obs{v, false})
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].v < all[j].v })
+	// Midranks: a run of tied values shares the mean of the ranks it
+	// spans; each run of t ties shrinks the variance by t^3-t.
+	var rankX, ties float64
+	for i := 0; i < len(all); {
+		j := i
+		for j < len(all) && all[j].v == all[i].v {
+			j++
+		}
+		mid := float64(i+j+1) / 2
+		for _, o := range all[i:j] {
+			if o.inX {
+				rankX += mid
+			}
+		}
+		t := float64(j - i)
+		ties += t*t*t - t
+		i = j
+	}
+	nf, mf, total := float64(n), float64(m), float64(n+m)
+	u = rankX - nf*(nf+1)/2
+	variance := nf * mf / 12 * (total + 1 - ties/(total*(total-1)))
+	if variance <= 0 {
+		return u, 1
+	}
+	z := (u + 0.5 - nf*mf/2) / math.Sqrt(variance)
+	return u, math.Erfc(-z/math.Sqrt2) / 2
+}
+
 // PercentileSorted returns the p-th percentile (0 < p <= 100) of an
 // ascending-sorted sample using the nearest-rank definition, which is
 // exact, deterministic and free of interpolation-order ambiguity.

@@ -240,3 +240,36 @@ func TestWorstCaseTrials(t *testing.T) {
 		t.Fatal("WorstCaseTrials(0) must be 0 (no finite sample reaches zero width)")
 	}
 }
+
+// TestMannWhitneyLess pins U and the one-sided p-value against values
+// worked by hand from U = R_x - n(n+1)/2, sigma^2 = nm/12 * (N+1 -
+// sum(t^3-t)/(N(N-1))) and p = Phi((U + 1/2 - nm/2) / sigma).
+func TestMannWhitneyLess(t *testing.T) {
+	cases := []struct {
+		name string
+		x, y []float64
+		u, p float64
+	}{
+		// Fully separated, x below: U=0, sigma^2=9/12*7=5.25,
+		// z=-4/sqrt(5.25)=-1.74574.
+		{"separated", []float64{3, 1, 2}, []float64{4, 6, 5}, 0, 0.04042779918502615},
+		// The mirror image: U=nm=9, z=5/sqrt(5.25)=2.18218.
+		{"reversed", []float64{4, 5, 6}, []float64{1, 2, 3}, 9, 0.9854518341293739},
+		// One run of three tied 2s spans ranks 2..4 (midrank 3):
+		// R_x=1+3+3=7, U=1, sigma^2=0.75*(7-24/30)=4.65,
+		// z=-3/sqrt(4.65)=-1.39122.
+		{"three-way tie", []float64{1, 2, 2}, []float64{2, 3, 4}, 1, 0.08207986423925762},
+		// A tie across the samples at 3 (midrank 2.5): R_x=3.5,
+		// U=0.5, sigma^2=0.5*(6-6/20)=2.85, z=-2/sqrt(2.85)=-1.18470.
+		{"cross tie", []float64{1, 3}, []float64{3, 5, 7}, 0.5, 0.1180684851108264},
+		// Every value tied: zero variance, no evidence.
+		{"all tied", []float64{2, 2}, []float64{2, 2}, 2, 1},
+		{"empty", nil, []float64{1}, 0, 1},
+	}
+	for _, tc := range cases {
+		u, p := MannWhitneyLess(tc.x, tc.y)
+		if u != tc.u || math.Abs(p-tc.p) > 1e-12 {
+			t.Errorf("%s: MannWhitneyLess = (U %v, p %v), want (%v, %v)", tc.name, u, p, tc.u, tc.p)
+		}
+	}
+}
